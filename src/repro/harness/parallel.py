@@ -35,32 +35,45 @@ _CACHE_FORMAT = 1
 _version_cache = None
 
 
-def model_version():
-    """Digest of the simulator sources: the cache-invalidation stamp.
+#: source suffixes that define the model: the Python package plus the
+#: compiled batch kernel's C source
+_MODEL_SOURCES = (".py", ".c")
 
-    Hashes every ``.py`` file under the installed ``repro`` package (path
-    and contents, in sorted path order) so any change to the model —
-    pipeline, fault injector, energy model, workload generator — retires
-    all previously cached results.
+
+def source_digest(root):
+    """16-hex-digit digest of the model sources under ``root``.
+
+    Hashes every ``.py`` and ``.c`` file (path and contents, in sorted
+    path order).
     """
-    global _version_cache
-    if _version_cache is not None:
-        return _version_cache
-    import repro
-
-    root = os.path.dirname(os.path.abspath(repro.__file__))
     digest = hashlib.sha256(b"repro-cache-format:%d" % _CACHE_FORMAT)
     for dirpath, dirnames, filenames in sorted(os.walk(root)):
         dirnames.sort()
         for name in sorted(filenames):
-            if not name.endswith(".py"):
+            if not name.endswith(_MODEL_SOURCES):
                 continue
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root)
             digest.update(rel.encode())
             with open(path, "rb") as fh:
                 digest.update(fh.read())
-    _version_cache = digest.hexdigest()[:16]
+    return digest.hexdigest()[:16]
+
+
+def model_version():
+    """Digest of the simulator sources: the cache-invalidation stamp.
+
+    :func:`source_digest` of the installed ``repro`` package, so any
+    change to the model — pipeline, batch kernel, fault injector, energy
+    model, workload generator — retires all previously cached results.
+    """
+    global _version_cache
+    if _version_cache is None:
+        import repro
+
+        _version_cache = source_digest(
+            os.path.dirname(os.path.abspath(repro.__file__))
+        )
     return _version_cache
 
 

@@ -6,15 +6,17 @@ which reseeds the fault injector at the warmup→measurement boundary. The
 batch path exploits this: one fork supplies the lane-invariant plan
 (:func:`repro.uarch.batchcore.build_plan`), the per-lane fault tapes are
 drawn up front (:func:`repro.uarch.batchstream.build_tapes`), and the
-vector engine advances all N lanes per Python dispatch.
+compiled kernel advances all N lanes in one call.
 
-Correctness never depends on the vector path handling every corner:
+Correctness never depends on the kernel handling every corner:
 
 * a spec the engine cannot model (storm, telemetry, verify, no
   measurement seed, exotic config) is simply not batch-eligible;
-* a *batch* the planner rejects (:class:`~repro.uarch.batchstream.
-  BatchFallback`) falls back to per-lane scalar runs, bit-identically;
-* a *lane* the engine evicts mid-window (safety-net replay, watchdog)
+* a *batch* the planner or engine rejects (:class:`~repro.uarch.
+  batchstream.BatchFallback`: an unsupported boundary state, no compiled
+  kernel, a config beyond the kernel's limits) falls back to per-lane
+  scalar runs, bit-identically;
+* a *lane* the kernel evicts mid-window (safety-net replay, watchdog)
   re-runs alone on the scalar path, also bit-identically.
 
 :class:`BatchReport` records which of those happened — benchmarks and the

@@ -5,27 +5,31 @@ the identical instruction stream; only the injected timing faults differ
 per measurement seed. This module exploits that: :func:`build_plan`
 flattens the forked core's boundary state plus the shared future stream
 (:mod:`repro.uarch.batchstream`) into plain arrays, and
-:class:`BatchEngine` advances N lanes cycle by cycle with (N,)-shaped
-numpy operations — one Python dispatch per array op instead of one per
-instruction per lane.
+:class:`BatchEngine` allocates (N,)-shaped per-lane state over them and
+hands everything to the compiled kernel (``batchkernel.c``), which
+advances every lane to the end of its window in one call.
 
-The engine is a transliteration of ``OoOCore.run`` (pipeline.py) under
+The kernel is a transliteration of ``OoOCore.run`` (pipeline.py) under
 the invariants the campaign path guarantees (selective replay mode, no
 store-set predictor, no telemetry, static TEP gate). Per-lane divergence
-that the vector model does not cover — safety-net replays, watchdog
-hangs, running past the prepared stream — *evicts* the lane: it is
-marked dead and the caller re-runs that seed on the scalar path, so
-correctness never depends on the vector engine handling every corner.
+that it does not cover — safety-net replays, watchdog hangs, running
+past the prepared stream — *evicts* the lane: it is marked dead and the
+caller re-runs that seed on the scalar path, so correctness never
+depends on the kernel handling every corner. Without a kernel, or for a
+plan beyond its static limits, :meth:`BatchEngine.run` raises
+:class:`~repro.uarch.batchstream.BatchFallback` and the whole batch
+takes the scalar path.
 
 EP stalls use a virtual-time trick: a whole-pipeline stall shifts every
 in-flight event by one cycle (``_shift_in_flight``), which means the
-machine state is *invariant* in stall-excised time. The engine therefore
+machine state is *invariant* in stall-excised time. The kernel therefore
 burns all pending stalls in bulk at the top of each virtual cycle and
 tracks them in a per-lane ``burned`` counter; real cycles are
 ``v + burned``.
 
 Bit-identity with the scalar path is asserted by
-``tests/uarch/test_batchcore.py`` over a scheme x vdd x lanes grid.
+``tests/snapshot/test_batch_equivalence.py`` over a scheme x vdd x lanes
+grid.
 """
 
 try:  # pragma: no cover - exercised on numpy-free installs
@@ -41,13 +45,10 @@ from repro.uarch.issue_queue import TIMESTAMP_MASK
 from repro.uarch.regfile import INFINITE as _SCOREBOARD_INF
 
 INF = 1 << 60
-_BIG_KEY = 1 << 40
 _RING = 4096          # schedulable horizon in cycles (events land < ~300 out)
-_RING_MASK = _RING - 1
-#: fault-stage bits the OoO issue path handles (ISSUE..WRITEBACK)
-_OOO_MASK = 0b111110000
 _INORDER_MASK = 0b1000001111
 
+# freeze codes; batchkernel.c mirrors them as FRZ_*
 _FRZ_NONE, _FRZ_SLOT, _FRZ_UNTIL, _FRZ_BUSY, _FRZ_WB = range(5)
 _FRZ_CODE = {
     FreezeKind.NONE: _FRZ_NONE,
@@ -57,11 +58,10 @@ _FRZ_CODE = {
     FreezeKind.WB_SLOT: _FRZ_WB,
 }
 
-_IDIV = int(OpClass.IDIV)
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 
-# selection-key modes
+# selection-key modes; batchkernel.c mirrors them as SEL_*
 _SEL_AGE, _SEL_FFS, _SEL_EXACT = range(3)
 
 _VTE_TABLES = None
@@ -89,88 +89,6 @@ def _vte_tables():
                 has[pi, o] = 0 if eff.stage is None else 1
         _VTE_TABLES = (rr, ex, mem, wb, frz, has)
     return _VTE_TABLES
-
-
-class _LaneMem:
-    """Per-lane d-side cache state as a copy-on-write overlay.
-
-    The batch shares one post-warmup hierarchy; each lane's loads and
-    store-commits mutate LRU state, so every touched set is lazily
-    copied into the lane's overlay dict. The shared base lists are never
-    mutated. The i-side L1 is lane-invariant (driven only by the shared
-    fetch stream) and lives in the plan; its misses go through
-    :meth:`access_l2` because L2 contents *do* diverge via the d-side.
-    """
-
-    __slots__ = (
-        "d_sets", "d_base", "d_shift", "d_mask", "d_assoc",
-        "l2_sets", "l2_base", "l2_shift", "l2_mask", "l2_assoc",
-        "lat_l1", "lat_l2", "lat_mem",
-        "l1d_hits", "l1d_misses", "l2_hits", "l2_misses", "mem_accesses",
-    )
-
-    def __init__(self, plan):
-        self.d_sets = {}
-        self.l2_sets = {}
-        self.d_base = plan.l1d_sets
-        self.d_shift = plan.l1d_shift
-        self.d_mask = plan.l1d_mask
-        self.d_assoc = plan.l1d_assoc
-        self.l2_base = plan.l2_sets
-        self.l2_shift = plan.l2_shift
-        self.l2_mask = plan.l2_mask
-        self.l2_assoc = plan.l2_assoc
-        self.lat_l1 = plan.lat_l1
-        self.lat_l2 = plan.lat_l2
-        self.lat_mem = plan.lat_mem
-        self.l1d_hits = 0
-        self.l1d_misses = 0
-        self.l2_hits = 0
-        self.l2_misses = 0
-        self.mem_accesses = 0
-
-    def access_data(self, addr):
-        """L1D -> L2 -> memory; returns total latency (Cache.access exact)."""
-        tag = addr >> self.d_shift
-        si = tag & self.d_mask
-        over = self.d_sets
-        ways = over.get(si)
-        if ways is None:
-            ways = list(self.d_base[si])
-            over[si] = ways
-        if tag in ways:
-            self.l1d_hits += 1
-            if ways[-1] != tag:
-                ways.remove(tag)
-                ways.append(tag)
-            return self.lat_l1
-        self.l1d_misses += 1
-        if len(ways) >= self.d_assoc:
-            del ways[0]
-        ways.append(tag)
-        return self.access_l2(addr)
-
-    def access_l2(self, addr):
-        """L2 -> memory leg, also used directly for L1I misses."""
-        tag = addr >> self.l2_shift
-        si = tag & self.l2_mask
-        over = self.l2_sets
-        ways = over.get(si)
-        if ways is None:
-            ways = list(self.l2_base[si])
-            over[si] = ways
-        if tag in ways:
-            self.l2_hits += 1
-            if ways[-1] != tag:
-                ways.remove(tag)
-                ways.append(tag)
-            return self.lat_l2
-        self.l2_misses += 1
-        if len(ways) >= self.l2_assoc:
-            del ways[0]
-        ways.append(tag)
-        self.mem_accesses += 1
-        return self.lat_mem
 
 
 class BatchPlan:
@@ -453,15 +371,7 @@ def build_plan(core, target, margin=256):
             last_writer[dest] = s
     plan.ws0 = ws0
     plan.ws1 = ws1
-    plan.ws01 = np.stack([ws0, ws1])
     plan.wake0 = wake0
-    plan.fu1hot = np.stack([fu == 0, fu == 1, fu == 2])
-    # ts is linear in slot whenever the prelude dispatch orders are
-    # consecutive (no commits between head and tail, no squashes) — the
-    # selection fast path keys ranking off IQ position in that case
-    plan.ts_linear = bool(np.array_equal(
-        ts, (ts[0] + np.arange(NS, dtype=np.int64)) & TIMESTAMP_MASK
-    ))
 
     _plan_boundary_state(plan, core, seq_slot, srank)
     _plan_stream_groups(plan, stream)
@@ -635,7 +545,7 @@ def _flat_sets(sets, nsets, assoc):
 
 
 def _plan_lane_mem(plan, hier):
-    """Shared d-side base state for per-lane copy-on-write overlays."""
+    """Shared d-side cache geometry and contents, copied per lane."""
     plan.l1d_sets = hier.l1d._sets
     plan.l1d_shift = hier.l1d._line_shift
     plan.l1d_mask = hier.l1d._set_mask
@@ -649,28 +559,33 @@ def _plan_lane_mem(plan, hier):
     plan.lat_mem = hier._lat_mem
 
 
+#: the compiled kernel sizes its selection scratch statically
+#: (``ready_pos[64]``/``sel_pos[8]`` in batchkernel.c)
+_KERNEL_MAX_IQ = 64
+_KERNEL_MAX_WIDTH = 8
+
+
 class BatchEngine:
-    """Advance N fault-tape lanes over one plan in virtual lockstep.
+    """Per-lane state arrays for N fault-tape lanes over one plan.
 
     All lanes share the plan's slot space and fetch-group schedule; only
     fault tapes (and everything downstream of them: timing, TEP state,
-    d-side cache contents) differ. A lane leaves the convoy only by
-    *eviction* — the caller re-runs that seed on the scalar path.
+    d-side cache contents) differ. The compiled kernel advances the
+    lanes in place over these arrays; :meth:`run` exports the result. A
+    lane leaves the convoy only by *eviction* — the caller re-runs that
+    seed on the scalar path.
     """
 
     def __init__(self, plan, stream_tapes):
         self.plan = plan
         N = self.N = stream_tapes.shape[0]
         NS = plan.NS
-        self.NW = plan.NW
         self.tape = np.zeros((N, NS), dtype=np.int16)
         self.tape[:, :plan.P] = plan.prelude_tape[None, :]
         self.tape[:, plan.P:] = stream_tapes
         self.pred = np.repeat(plan.pred0[None, :], N, axis=0)
         self.cec = np.repeat(plan.cec0[None, :], N, axis=0)
-        self.cec_flat = self.cec.reshape(-1)
         self.wake = np.repeat(plan.wake0[None, :], N, axis=0)
-        self.wake_flat = self.wake.reshape(-1)
         self.iq_slot = np.zeros((N, plan.iq_size), dtype=np.int64)
         n0 = len(plan.iq0)
         if n0:
@@ -689,7 +604,6 @@ class BatchEngine:
         self.store_resolve = np.full((N, nst), INF, dtype=np.int64)
         self.premax = np.zeros((N, nst), dtype=np.int64)
         if plan.n_stores:
-            self.store_resolve[:, :] = INF
             self.store_resolve[:, :len(plan.store_resolve0)] = (
                 plan.store_resolve0[None, :]
             )
@@ -743,20 +657,6 @@ class BatchEngine:
             self.tep_cnt = np.repeat(plan.tep_cnt0[None, :], N, axis=0)
             self.tep_stage = np.repeat(plan.tep_stage0[None, :], N, axis=0)
 
-        self.lanemem = [_LaneMem(plan) for _ in range(N)]
-        self._km = None  # compiled-kernel hier counters, set by _run_kernel
-        if plan.uses_vte:
-            (self.T_RR, self.T_EX, self.T_MEM, self.T_WB,
-             self.T_FRZ, self.T_HAS) = _vte_tables()
-        self._arangeIQ = np.arange(plan.iq_size, dtype=np.int64)
-        self._arangeW = np.arange(plan.width, dtype=np.int64)
-        arangeN = np.arange(N, dtype=np.int64)
-        self._laneoffW = (arangeN * plan.NW).reshape(1, N, 1)
-        self._laneoffNS = (arangeN * NS)[:, None]
-        self._laneoffIQ = (arangeN * plan.iq_size)[:, None]
-        self._laneoffS0 = arangeN * plan.iq_size
-        self._laneoffS = (arangeN * self.premax.shape[1])[:, None]
-
     # ------------------------------------------------------------------
     def _evict(self, lane, reason):
         if self.evicted_reason[lane] is None:
@@ -764,535 +664,37 @@ class BatchEngine:
         self.active[lane] = False
 
     # ------------------------------------------------------------------
-    def _commit(self, v):
-        p = self.plan
-        NS = p.NS
-        cecf = self.cec_flat
-        for _ in range(p.width):
-            el = self.active & (self.cp < self.dp)
-            idx = np.nonzero(el)[0]
-            if idx.size == 0:
-                return
-            s = self.cp[idx]
-            rdy = cecf[idx * NS + s] <= v
-            if not rdy.any():
-                return
-            idx = idx[rdy]
-            s = s[rdy]
-            self.committed[idx] += 1
-            hd = p.has_dest[s]
-            self.regwrites[idx] += hd
-            self.free_cnt[idx] += hd
-            self.lsq_occ[idx] -= p.is_mem[s]
-            self.last_commit_real[idx] = v + self.burned[idx]
-            st = p.is_store[s]
-            if st.any():
-                for lane, slot in zip(idx[st].tolist(), s[st].tolist()):
-                    self.lanemem[lane].access_data(int(p.mem_addr[slot]))
-            if self.tep_probe:
-                f = self.tape[idx, s]
-                pr = self.pred[idx, s]
-                need = (f != 0) | (pr >= 0)
-                if need.any():
-                    for lane, slot, fm, pv in zip(
-                        idx[need].tolist(), s[need].tolist(),
-                        f[need].tolist(), pr[need].tolist(),
-                    ):
-                        self._train_tep(lane, slot, fm, pv)
-            self.cp[idx] += 1
+    def run(self, force_evict=None):
+        """Advance all lanes to completion; returns per-lane raw results.
 
-    def _train_tep(self, lane, slot, fmask, pred):
-        """Commit-time TEP training (pipeline._train_tep + tep.train)."""
-        p = self.plan
-        ti = int(p.tepi[slot])
-        tg = int(p.tept[slot])
-        if fmask:
-            stage = (fmask & -fmask).bit_length() - 1
-            if self.tep_tag[lane, ti] == tg:
-                c = int(self.tep_cnt[lane, ti])
-                if c < p.tep_cmax:
-                    self.tep_cnt[lane, ti] = c + 1
-                self.tep_stage[lane, ti] = stage
-            else:
-                self.tep_tag[lane, ti] = tg
-                self.tep_cnt[lane, ti] = 1
-                self.tep_stage[lane, ti] = stage
-        elif pred >= 0:
-            self.false_predictions[lane] += 1
-            if self.tep_tag[lane, ti] == tg and self.tep_cnt[lane, ti] > 0:
-                self.tep_cnt[lane, ti] -= 1
-
-    # ------------------------------------------------------------------
-    def _load_data_lat(self, lane, slot, cam):
-        """search_forward + hierarchy access for one issuing load."""
-        p = self.plan
-        lo = int(p.SM[self.cp[lane]])
-        hi = int(p.SM[slot])
-        if hi > lo:
-            a8 = int(p.addr8[slot])
-            seg = self.store_resolve[lane, lo:hi]
-            if bool(((p.st_addr8[lo:hi] == a8) & (seg <= cam)).any()):
-                self.forwards[lane] += 1
-                return 1
-        return self.lanemem[lane].access_data(int(p.mem_addr[slot]))
-
-    def _count_fault(self, lane, stage, predicted):
-        self.faults_total[lane] += 1
-        self.stage_faults[lane, stage] += 1
-        if predicted:
-            self.faults_predicted[lane] += 1
-        else:
-            self.faults_unpredicted[lane] += 1
-
-    def _fault_fixup(self, e, lane, slot, fmask, pr,
-                     rr_e, ex_e, mem_e, wb_e, bubbles):
-        """Scalar per-instruction violation handling (issue-time)."""
-        p = self.plan
-        is_mem = bool(p.is_mem[slot])
-        pen = p.replay_recovery
-        for stage in (4, 5, 6, 7, 8):
-            if not fmask & (1 << stage):
-                continue
-            if stage == 7 and not is_mem:
-                # storm-mode wild MEM fault: scalar takes the safety-net
-                # stall-and-replay, which the vector model doesn't carry
-                self._count_fault(lane, stage, False)
-                self._evict(lane, "safety-net replay (wild MEM fault)")
-                continue
-            tol = stage == pr and p.tolerates
-            if (tol and p.uses_vte
-                    and not self.T_HAS[pr + 1, int(p.op[slot])]):
-                self._evict(lane, "safety-net replay (unpadded)")
-                tol = False
-            self._count_fault(lane, stage, tol)
-            if tol:
-                continue
-            self.replays[lane] += 1
-            if stage == 4 or stage == 5:
-                rr_e[e] += pen
-            elif stage == 6:
-                ex_e[e] += pen
-            elif stage == 7:
-                mem_e[e] += pen
-            else:
-                wb_e[e] += pen
-            bubbles.append((e, stage))
-
-    @staticmethod
-    def _stage_cycle(stage, v, e, agen_end, exec_end, wb_c, is_mem_e):
-        """pipeline._stage_cycle on step-local arrays."""
-        if stage == 4:
-            return v
-        if stage == 5:
-            return v + 1
-        if stage == 6:
-            return int(exec_end[e])
-        if stage == 7:
-            return int(agen_end[e]) if is_mem_e else None
-        if stage == 8:
-            return int(wb_c[e])
-        return None
-
-    # ------------------------------------------------------------------
-    def _select_issue(self, v):
-        p = self.plan
-        iqs = self.iq_slot
-        iql = self.iq_len
-        valid = self._arangeIQ[None, :] < iql[:, None]
-        if not self.active.all():
-            valid = valid & self.active[:, None]
-        slots = np.where(valid, iqs, 0)
-        w01 = p.ws01[:, slots] + self._laneoffW
-        wk01 = self.wake_flat.take(w01)
-        wk = np.maximum(wk01[0], wk01[1])
-        rdy = valid & (wk <= v)
-        ld = p.is_load[slots] & valid
-        if p.n_stores and ld.any():
-            oc = p.SM[slots]
-            pmg = self.premax.reshape(-1).take(
-                np.maximum(oc - 1, 0) + self._laneoffS
-            )
-            # premax carries REAL resolve cycles (unshifted by EP stalls,
-            # like scalar's LSQ), so gate against real time, not virtual
-            real = v + self.burned[:, None]
-            gate_ok = (self.frontier[:, None] >= oc) & (
-                (oc == 0) | (pmg <= real)
-            )
-            rdy &= ~ld | gate_ok
-        if not rdy.any():
-            return
-        # Fast path: ranking by IQ position. EXACT keys *are* positions;
-        # AGE keys are monotone in position whenever the per-lane slot
-        # span fits the timestamp window (ts is linear in slot — asserted
-        # by build_plan); FFS degenerates to AGE when nothing ready
-        # carries a fault prediction.
-        fast = p.sel_mode == _SEL_EXACT
-        if not fast and p.ts_linear:
-            tail = iqs.ravel().take(
-                self._laneoffS0 + np.maximum(iql - 1, 0)
-            )
-            fast = bool(((tail - iqs[:, 0]) <= TIMESTAMP_MASK).all())
-            if fast and p.sel_mode == _SEL_FFS:
-                predg = self.pred.reshape(-1).take(
-                    slots + self._laneoffNS
-                )
-                fast = not (rdy & (predg >= 0)).any()
-        if fast:
-            k3 = p.fu1hot[:, slots] & rdy[None]
-            cum3 = k3.cumsum(axis=2)
-            le = self.fu_ni <= v
-            caps = np.empty((3, self.N, 1), dtype=np.int64)
-            caps[0, :, 0] = le[:, 0].astype(np.int64) + le[:, 1]
-            caps[1, :, 0] = le[:, 2]
-            caps[2, :, 0] = le[:, 3]
-            elig3 = k3 & (cum3 <= caps)
-            elig = elig3[0] | elig3[1] | elig3[2]
-            rank = np.cumsum(elig, 1)
-            sel = elig & (rank <= p.width)
-            if not sel.any():
-                return
-            rows, cols = np.nonzero(sel)
-            slots_f = slots[rows, cols]
-            jj = rank[rows, cols] - 1
-            kf = p.fu[slots_f]
-            ucol = kf + 1
-            sm = kf == 0
-            if sm.any():
-                ucol[sm] = (
-                    cum3[0][rows[sm], cols[sm]] - 1
-                    + (1 - le[rows[sm], 0])
-                )
-            self._issue_all(v, rows, slots_f, jj, ucol, iql)
-            keep = valid & ~sel
-        else:
-            rel = (p.ts[slots] - p.ts[iqs[:, 0]][:, None]) & TIMESTAMP_MASK
-            key = rel * p.iq_size + self._arangeIQ[None, :]
-            if p.sel_mode == _SEL_FFS:
-                key = key + (
-                    self.pred.reshape(-1).take(slots + self._laneoffNS) < 0
-                ) * ((TIMESTAMP_MASK + 1) * p.iq_size)
-            key = np.where(rdy, key, _BIG_KEY)
-            order = np.argsort(key, axis=1)
-            oflat = order + self._laneoffIQ
-            oslots = slots.ravel().take(oflat)
-            ordy = rdy.ravel().take(oflat)
-            kind = p.fu[oslots]
-            fu_ni = self.fu_ni
-            c0 = fu_ni[:, 0] <= v
-            cap_s = c0.astype(np.int64) + (fu_ni[:, 1] <= v)
-            cap_c = (fu_ni[:, 2] <= v).astype(np.int64)
-            cap_m = (fu_ni[:, 3] <= v).astype(np.int64)
-            ks = ordy & (kind == 0)
-            kc = ordy & (kind == 1)
-            km = ordy & (kind == 2)
-            cum_s = np.cumsum(ks, 1)
-            elig = (
-                (ks & (cum_s <= cap_s[:, None]))
-                | (kc & (np.cumsum(kc, 1) <= cap_c[:, None]))
-                | (km & (np.cumsum(km, 1) <= cap_m[:, None]))
-            )
-            rank = np.cumsum(elig, 1)
-            sel = elig & (rank <= p.width)
-            if not sel.any():
-                return
-            rows, cols = np.nonzero(sel)
-            slots_f = oslots[rows, cols]
-            jj = rank[rows, cols] - 1
-            kf = kind[rows, cols]
-            ucol = kf + 1
-            sm = kf == 0
-            if sm.any():
-                ucol[sm] = (
-                    cum_s[rows[sm], cols[sm]] - 1
-                    + (1 - c0[rows[sm]].astype(np.int64))
-                )
-            self._issue_all(v, rows, slots_f, jj, ucol, iql)
-            keep = valid
-            keep[rows, order[rows, cols]] = False
-        # compact: drop issued entries, preserving age order
-        sidx = np.argsort(~keep, axis=1, kind="stable")
-        self.iq_slot = iqs.ravel().take(sidx + self._laneoffIQ)
-        self.iq_len = iql - np.bincount(rows, minlength=self.N)
-
-    def _issue_all(self, v, lf, sf, jj, uc, iq_len0):
-        """Issue all selected instructions in one vector pass.
-
-        ``lf``/``sf``/``jj``/``uc`` are flat (lane, slot, per-lane rank,
-        FU unit column) arrays in row-major selection order, i.e. each
-        lane's instructions appear in ascending rank. Lanes repeat, so
-        per-lane counters accumulate via bincount; per-(lane, slot) and
-        per-(lane, unit) scatters are duplicate-free within one cycle.
+        One compiled-kernel call mutates this engine's arrays in place.
+        Raises :class:`BatchFallback` when the kernel is unavailable or
+        the plan exceeds its static limits. ``force_evict`` maps lane ->
+        virtual cycle; the lane is evicted at the top of that cycle (test
+        hook for the divergence path).
         """
         p = self.plan
         N = self.N
-        n = lf.size
-        o = p.op[sf]
-        nsel = np.bincount(lf, minlength=N)
-        self.issued += nsel
-        self.regreads += np.bincount(
-            lf, weights=p.nsrcs[sf], minlength=N
-        ).astype(np.int64)
-        foc = self.fu_op_counts.reshape(-1)
-        foc += np.bincount(lf * 8 + o, minlength=N * 8)
-        pr = self.pred[lf, sf].astype(np.int64)
-        if p.uses_vte:
-            pi = pr + 1
-            rr_e = self.T_RR[pi, o].copy()
-            ex_e = self.T_EX[pi, o].copy()
-            mem_e = self.T_MEM[pi, o].copy()
-            wb_e = self.T_WB[pi, o].copy()
-            frz = self.T_FRZ[pi, o]
-            self.padded += np.bincount(
-                lf, weights=self.T_HAS[pi, o], minlength=N
-            ).astype(np.int64)
-        else:
-            rr_e = np.zeros(n, dtype=np.int64)
-            ex_e = np.zeros(n, dtype=np.int64)
-            mem_e = np.zeros(n, dtype=np.int64)
-            wb_e = np.zeros(n, dtype=np.int64)
-            frz = None
-        f = self.tape[lf, sf]
-        bubbles = []
-        if f.any():
-            for e in np.nonzero(f)[0].tolist():
-                self._fault_fixup(
-                    e, int(lf[e]), int(sf[e]), int(f[e]), int(pr[e]),
-                    rr_e, ex_e, mem_e, wb_e, bubbles,
-                )
-        exec_lat = p.lat[sf] + ex_e
-        agen_end = v + 2 + rr_e
-        exec_end = v + 1 + rr_e + exec_lat
-        wakeup = np.empty(n, dtype=np.int64)
-        wbreq = np.empty(n, dtype=np.int64)
-        mm = p.is_mem[sf]
-        nm = ~mm
-        if nm.any():
-            wakeup[nm] = v + p.lat[sf][nm] + rr_e[nm] + ex_e[nm]
-            wbreq[nm] = v + 2 + rr_e[nm] + exec_lat[nm]
-        if mm.any():
-            ldm = p.is_load[sf]
-            for e in np.nonzero(ldm)[0].tolist():
-                lane = int(lf[e])
-                cam = int(agen_end[e])
-                self.cam_searches[lane] += 1
-                # the CAM compares store resolve times, which scalar keeps
-                # in unshifted real cycles (see _shift_in_flight) — so the
-                # probe time must be real too
-                dlat = self._load_data_lat(
-                    lane, int(sf[e]), cam + int(self.burned[lane])
-                )
-                wakeup[e] = cam + int(mem_e[e]) + dlat
-                wbreq[e] = wakeup[e] + 1
-            stm = mm & ~ldm
-            for e in np.nonzero(stm)[0].tolist():
-                lane = int(lf[e])
-                self.cam_searches[lane] += 1
-                r = int(p.srank[int(sf[e])])
-                rc = int(agen_end[e])
-                # store resolve times live in REAL cycles: scalar's
-                # _shift_in_flight never shifts LSQ resolve_cycle, so a
-                # whole-pipeline stall moves everything else but leaves
-                # the disambiguation gate where it was. The WB request
-                # below stays virtual (it rides the shifted event world).
-                srow = self.store_resolve[lane]
-                srow[r] = rc + int(self.burned[lane])
-                fr = int(self.frontier[lane])
-                pm = int(self.pm_run[lane])
-                prow = self.premax[lane]
-                nst = p.n_stores
-                while fr < nst and srow[fr] < INF:
-                    x = int(srow[fr])
-                    if x > pm:
-                        pm = x
-                    prow[fr] = pm
-                    fr += 1
-                self.frontier[lane] = fr
-                self.pm_run[lane] = pm
-                wakeup[e] = INF
-                wbreq[e] = rc + int(mem_e[e]) + 1
-        else:
-            stm = np.zeros(n, dtype=bool)
-        # writeback arbitration: first cycle with a free port, claimed
-        # sequentially in rank order (same lane's later ranks see the
-        # earlier claims — a scalar loop, n is tiny)
-        width = p.width
-        wb = self.wbring
-        lfl = lf.tolist()
-        clist = wbreq.tolist()
-        wbl = wb_e.tolist()
-        for e in range(n):
-            row = wb[lfl[e]]
-            cc = clist[e]
-            while row[cc & _RING_MASK] >= width:
-                cc += 1
-            row[cc & _RING_MASK] += 1
-            if wbl[e]:
-                row[(cc + 1) & _RING_MASK] += 1
-            clist[e] = cc
-        c = np.asarray(clist, dtype=np.int64)
-        self.cec_flat[lf * p.NS + sf] = c + wb_e
-        # result broadcast (set_ready): consumers read next cycle
-        br = (p.has_dest[sf] > 0) & ~stm
-        if br.any():
-            self.wake_flat[(lf * p.NW + sf)[br]] = wakeup[br]
-            lb = lf[br]
-            self.broadcasts += np.bincount(lb, minlength=self.N)
-            self.broadcast_occ += np.bincount(
-                lb, weights=iq_len0[lb] - (jj[br] + 1), minlength=self.N
-            ).astype(np.int64)
-        # functional-unit reservation + VTE freezing
-        ni = v + np.where(o == _IDIV, exec_lat, 1)
-        if frz is not None:
-            self.slot_freezes += np.bincount(
-                lf, weights=(frz != _FRZ_NONE), minlength=self.N
-            ).astype(np.int64)
-            slm = frz == _FRZ_SLOT
-            if slm.any():
-                ni[slm] = np.maximum(ni[slm], v + 2)
-            unm = frz == _FRZ_UNTIL
-            if unm.any():
-                ni[unm] = np.maximum(ni[unm], exec_end[unm])
-            ni[frz == _FRZ_BUSY] += 1
-        self.fu_ni[lf, uc] = ni
-        bm = p.cond_mispred[sf]
-        if bm.any():
-            self.blk_resolve_v[lf[bm]] = exec_end[bm]
-        if p.uses_ep_stall:
-            for e in np.nonzero(pr >= 0)[0].tolist():
-                sc = self._stage_cycle(
-                    int(pr[e]), v, e, agen_end, exec_end, c,
-                    bool(mm[e]),
-                )
-                if sc is None:
-                    continue
-                lane = int(lf[e])
-                self.padded[lane] += 1
-                self.epring[lane, max(sc, v + 1) & _RING_MASK] += 1
-        for e, stage in bubbles:
-            sc = self._stage_cycle(
-                stage, v, e, agen_end, exec_end, c, bool(mm[e])
+        if p.iq_size > _KERNEL_MAX_IQ:
+            raise BatchFallback(
+                f"iq_size {p.iq_size} exceeds the kernel limit "
+                f"{_KERNEL_MAX_IQ}"
             )
-            if sc is None:
-                continue
-            self.epring[int(lf[e]), max(sc, v + 1) & _RING_MASK] += (
-                p.recovery_bubbles
+        if p.width > _KERNEL_MAX_WIDTH:
+            raise BatchFallback(
+                f"width {p.width} exceeds the kernel limit "
+                f"{_KERNEL_MAX_WIDTH}"
             )
+        fn = load_kernel()
+        if fn is None:
+            raise BatchFallback("compiled batch kernel unavailable")
+        # tapes carrying in-order-stage bits would hit the scalar
+        # dispatch-side checks the kernel doesn't model
+        bad = np.nonzero((self.tape & _INORDER_MASK).any(axis=1))[0]
+        for lane in bad.tolist():
+            self._evict(lane, "in-order-stage fault on tape")
 
-    # ------------------------------------------------------------------
-    def _dispatch(self, v):
-        p = self.plan
-        d = p.depth - 1
-        D = np.nonzero(self.active & (self.conv_len[:, d] > 0))[0]
-        if D.size == 0:
-            return
-        s = self.conv_start[D, d]
-        i_arr = self._arangeW[None, :]
-        si = np.minimum(s[:, None] + i_arr, p.NS - 1)
-        cond = i_arr < self.conv_len[D, d][:, None]
-        cond &= (self.dp[D] - self.cp[D])[:, None] + i_arr < p.rob_size
-        cond &= self.iq_len[D][:, None] + i_arr < p.iq_size
-        memi = p.is_mem[si]
-        if memi.any():
-            cond &= ~memi | (
-                self.lsq_occ[D][:, None] + (p.M[si] - p.M[s][:, None])
-                < p.lsq_size
-            )
-        hdi = p.has_dest[si] > 0
-        cond &= ~hdi | (
-            self.free_cnt[D][:, None] - (p.HD[si] - p.HD[s][:, None]) >= 1
-        )
-        k = np.cumprod(cond, axis=1).sum(axis=1)
-        km = k > 0
-        if not km.any():
-            return
-        Dk = D[km]
-        sk = s[km]
-        kk = k[km]
-        pos = self.iq_len[Dk][:, None] + i_arr
-        mfill = i_arr < kk[:, None]
-        rr, cc = np.nonzero(mfill)
-        self.iq_slot[Dk[rr], pos[rr, cc]] = sk[rr] + cc
-        self.dp[Dk] += kk
-        self.lsq_occ[Dk] += p.M[sk + kk] - p.M[sk]
-        self.free_cnt[Dk] -= p.HD[sk + kk] - p.HD[sk]
-        self.dispatched[Dk] += kk
-        self.iq_len[Dk] += kk
-        self.conv_start[Dk, d] += kk
-        self.conv_len[Dk, d] -= kk
-
-    # ------------------------------------------------------------------
-    def _fetch(self, v):
-        p = self.plan
-        fl = (
-            self.active & (self.conv_len[:, 0] == 0)
-            & ~self.blk_active & (self.resume_v <= v)
-        )
-        if not fl.any():
-            return
-        idx = np.nonzero(fl)[0]
-        g = self.g_ptr[idx]
-        ex = g >= p.NG
-        if ex.any():
-            for lane in idx[ex].tolist():
-                self._evict(lane, "ran past the prepared stream")
-            keep = ~ex
-            idx = idx[keep]
-            g = g[keep]
-            if idx.size == 0:
-                return
-        gs = p.g_start[g]
-        gl = p.g_len[g]
-        self.conv_start[idx, 0] = gs
-        self.conv_len[idx, 0] = gl
-        self.fetched[idx] += gl
-        self.branches[idx] += p.g_branches[g]
-        mp = p.g_mispred[g]
-        if mp.any():
-            lm = idx[mp]
-            self.branch_mispredicts[lm] += 1
-            self.blk_active[lm] = True
-            self.blk_fetch_abs[lm] = v + self.burned[lm]
-        if self.tep_probe:
-            for jj in range(int(gl.max())):
-                sub = gl > jj
-                if not sub.any():
-                    break
-                li = idx[sub]
-                sl = gs[sub] + jj
-                ti = p.tepi[sl]
-                hit = (self.tep_tag[li, ti] == p.tept[sl]) & (
-                    self.tep_cnt[li, ti] > 0
-                )
-                self.pred[li, sl] = np.where(
-                    hit, self.tep_stage[li, ti], -1
-                ).astype(np.int8)
-        hm = p.g_has_miss[g]
-        if hm.any():
-            for lane, gi in zip(idx[hm].tolist(), g[hm].tolist()):
-                lo = int(p.g_miss_off[gi])
-                hi = int(p.g_miss_off[gi + 1])
-                stall = 0
-                mem = self.lanemem[lane]
-                for mpc in p.miss_pcs[lo:hi].tolist():
-                    lat2 = mem.access_l2(int(mpc)) - 1
-                    if lat2 > stall:
-                        stall = lat2
-                if stall and v + 1 + stall > self.resume_v[lane]:
-                    self.resume_v[lane] = v + 1 + stall
-        self.g_ptr[idx] += 1
-
-    # ------------------------------------------------------------------
-    def _run_kernel(self, fn, force_evict):
-        """Advance every lane to completion with one compiled-kernel call.
-
-        The kernel mutates this engine's own arrays in place, so
-        :meth:`_export` (and tests poking at engine state) see exactly
-        what the numpy loop would have produced. Only the d-side cache
-        overlays differ in representation: the kernel needs them
-        materialized per lane as flat tag arrays up front.
-        """
-        p = self.plan
-        N = self.N
+        # the kernel keeps each lane's d-side caches as flat tag arrays
         d_nsets = p.l1d_mask + 1
         l2_nsets = p.l2_mask + 1
         dt, dc = _flat_sets(p.l1d_sets, d_nsets, p.l1d_assoc)
@@ -1301,14 +703,14 @@ class BatchEngine:
         l1d_cnt = np.repeat(dc.reshape(1, -1), N, axis=0)
         l2_tags = np.repeat(lt.reshape(1, -1), N, axis=0)
         l2_cnt = np.repeat(lc.reshape(1, -1), N, axis=0)
-        km = {
+        dside = {
             k: np.zeros(N, dtype=np.int64)
             for k in ("l1d_hits", "l1d_misses", "l2_hits", "l2_misses",
                       "mem_accesses")
         }
         evict_code = np.zeros(N, dtype=np.int64)
         force_at = np.full(N, -1, dtype=np.int64)
-        for lane, at in force_evict.items():
+        for lane, at in (force_evict or {}).items():
             force_at[lane] = at
         d64 = np.zeros(1, dtype=np.int64)
         d8 = np.zeros(1, dtype=np.int8)
@@ -1318,8 +720,7 @@ class BatchEngine:
         else:
             tepi = tept = ttag = tcnt = tstg = d64
         if p.uses_vte:
-            t_rr, t_ex, t_mem, t_wb = self.T_RR, self.T_EX, self.T_MEM, self.T_WB
-            t_frz, t_has = self.T_FRZ, self.T_HAS
+            t_rr, t_ex, t_mem, t_wb, t_frz, t_has = _vte_tables()
         else:
             t_rr = t_ex = t_mem = t_wb = t_has = d64
             t_frz = d8
@@ -1352,8 +753,8 @@ class BatchEngine:
             self.stage_faults, self.fu_op_counts,
             ttag, tcnt, tstg,
             l1d_tags, l1d_cnt, l2_tags, l2_cnt,
-            km["l1d_hits"], km["l1d_misses"], km["l2_hits"],
-            km["l2_misses"], km["mem_accesses"],
+            dside["l1d_hits"], dside["l1d_misses"], dside["l2_hits"],
+            dside["l2_misses"], dside["mem_accesses"],
         ]
         for i, a in enumerate(arrays):
             if not a.flags["C_CONTIGUOUS"]:
@@ -1376,97 +777,14 @@ class BatchEngine:
             code = int(evict_code[lane])
             self._evict(lane, _EVICT_REASON.get(code, "kernel eviction"))
         self.active[:] = False  # every lane either finished or evicted
-        self._km = km
+        return self._export(dside)
 
     # ------------------------------------------------------------------
-    def run(self, force_evict=None):
-        """Advance all lanes to completion; returns per-lane raw results.
+    def _export(self, dside):
+        """Raw per-lane results: a counter dict per lane, None if evicted.
 
-        ``force_evict`` maps lane -> virtual cycle; the lane is evicted
-        at the top of that cycle (test hook for the divergence path).
+        ``dside`` holds the kernel's per-lane d-side cache counters.
         """
-        p = self.plan
-        active = self.active
-        width = p.width
-        # tapes carrying in-order-stage bits would hit the scalar
-        # dispatch-side checks the engine doesn't model
-        bad = np.nonzero((self.tape & _INORDER_MASK).any(axis=1))[0]
-        for lane in bad.tolist():
-            self._evict(lane, "in-order-stage fault on tape")
-        force_evict = dict(force_evict or {})
-        # the compiled kernel sizes its selection scratch statically
-        if p.iq_size <= 64 and p.width <= 8:
-            fn = load_kernel()
-            if fn is not None:
-                self._run_kernel(fn, force_evict)
-                return self._export()
-        v = 0
-        cl = self.conv_len
-        cs = self.conv_start
-        while True:
-            fin = active & (self.committed >= p.target)
-            if fin.any():
-                self.v_end[fin] = v
-                active[fin] = False
-            if force_evict:
-                for lane, at in list(force_evict.items()):
-                    if v >= at:
-                        if active[lane]:
-                            self._evict(lane, "forced eviction (test hook)")
-                        del force_evict[lane]
-            if not active.any():
-                break
-            if not v & 255:
-                real = v + self.burned
-                bad = active & (
-                    (real > p.max_cycles)
-                    | (real - self.last_commit_real >= p.hang_cycles)
-                )
-                if bad.any():
-                    for lane in np.nonzero(bad)[0].tolist():
-                        self._evict(lane, "watchdog (hang or cycle budget)")
-                    if not active.any():
-                        break
-            vm = v & _RING_MASK
-            # whole-pipeline stalls burn in bulk (virtual-time excision)
-            k = self.epring[:, vm]
-            kb = active & (k > 0)
-            if kb.any():
-                kk = k[kb].astype(np.int64)
-                self.burned[kb] += kk
-                self.ep_stalls_stat[kb] += kk
-                self.epring[kb, vm] = 0
-            res = active & (self.blk_resolve_v == v)
-            if res.any():
-                self.blk_active[res] = False
-                self.blk_resolve_v[res] = INF
-                np.maximum(
-                    self.resume_v, v + p.redirect_penalty,
-                    out=self.resume_v, where=res,
-                )
-                if p.model_wrong_path:
-                    wasted = np.maximum(
-                        (v + self.burned) - self.blk_fetch_abs - 1, 0
-                    )
-                    self.wrong_path[res] += wasted[res] * width
-            self._commit(v)
-            self._select_issue(v)
-            self._dispatch(v)
-            for i in range(p.depth - 1, 0, -1):
-                m = active & (cl[:, i] == 0)
-                if m.any():
-                    cl[m, i] = cl[m, i - 1]
-                    cs[m, i] = cs[m, i - 1]
-                    cl[m, i - 1] = 0
-            self._fetch(v)
-            self.iq_occ[active] += self.iq_len[active]
-            self.wbring[:, vm] = 0
-            v += 1
-        return self._export()
-
-    # ------------------------------------------------------------------
-    def _export(self):
-        """Raw per-lane results: a counter dict per lane, None if evicted."""
         p = self.plan
         out = []
         for lane in range(self.N):
@@ -1475,18 +793,6 @@ class BatchEngine:
                 continue
             ve = int(self.v_end[lane])
             cec = self.cec[lane]
-            km = self._km
-            if km is not None:
-                dside = {k: int(v_[lane]) for k, v_ in km.items()}
-            else:
-                mem = self.lanemem[lane]
-                dside = {
-                    "l1d_hits": mem.l1d_hits,
-                    "l1d_misses": mem.l1d_misses,
-                    "l2_hits": mem.l2_hits,
-                    "l2_misses": mem.l2_misses,
-                    "mem_accesses": mem.mem_accesses,
-                }
             g = int(self.g_ptr[lane])
             stage_faults = {}
             for st in range(10):
@@ -1533,7 +839,7 @@ class BatchEngine:
                 "hier": {
                     "l1i_hits": int(p.cum_l1i_hits[g]),
                     "l1i_misses": int(p.cum_l1i_misses[g]),
-                    **dside,
+                    **{k: int(v[lane]) for k, v in dside.items()},
                 },
             })
         return out

@@ -1,21 +1,21 @@
 /* Compiled per-lane kernel for the batched lockstep engine.
  *
- * This is a transliteration of repro.uarch.batchcore.BatchEngine's
- * per-cycle semantics (itself a transliteration of OoOCore.run under the
- * campaign invariants).  It operates IN PLACE on the engine's own
- * structure-of-arrays numpy state: python builds the plan, tapes and
- * (N,)-shaped state arrays exactly as for the pure-numpy path, then
- * hands raw pointers here; results are read back from the same arrays
- * by BatchEngine._export, so the two paths share everything except the
- * inner loop.  Bit-identity against the scalar core is asserted by the
- * same tests that cover the numpy path.
+ * This is a transliteration of OoOCore.run (repro/uarch/pipeline.py)
+ * under the campaign invariants checked by batchcore.build_plan.  It
+ * operates IN PLACE on the structure-of-arrays numpy state allocated by
+ * repro.uarch.batchcore.BatchEngine: python builds the plan, tapes and
+ * (N,)-shaped state arrays, then hands raw pointers here; results are
+ * read back from the same arrays by BatchEngine._export.  Bit-identity
+ * against the scalar core is asserted by
+ * tests/snapshot/test_batch_equivalence.py.
  *
  * Lanes are advanced independently (the virtual-time/burn excision
  * makes each lane's trajectory self-contained); an evicted lane stops
  * immediately and is re-run by the caller on the scalar path.
  *
  * Compiled on demand by repro.uarch.batchkernel with the system C
- * compiler; when that fails the engine silently keeps the numpy loop.
+ * compiler; when that fails, BatchEngine.run raises BatchFallback and
+ * the whole batch runs on the scalar snapshot-fork path.
  */
 
 #include <stdint.h>

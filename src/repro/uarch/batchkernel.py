@@ -1,12 +1,14 @@
 """On-demand builder for the compiled batch-engine kernel.
 
 ``batchkernel.c`` holds a per-lane C transliteration of the
-:class:`~repro.uarch.batchcore.BatchEngine` cycle loop. This module
-compiles it with the system C compiler the first time a batch runs and
-binds the entry point via :mod:`ctypes`. Everything is best-effort: no
-compiler, a failed compile, a read-only cache dir, or
-``REPRO_BATCH_KERNEL=0`` all degrade to returning ``None``, in which
-case the engine keeps its pure-numpy loop (same results, slower).
+``OoOCore.run`` cycle loop that advances the state arrays of a
+:class:`~repro.uarch.batchcore.BatchEngine`. This module compiles it
+with the system C compiler the first time a batch runs and binds the
+entry point via :mod:`ctypes`. Everything is best-effort: no compiler,
+a failed compile, or a read-only cache dir all degrade to returning
+``None``, in which case ``BatchEngine.run`` raises ``BatchFallback`` and
+the batch runs lane by lane on the scalar snapshot-fork path (same
+results, slower).
 
 The shared object is cached on disk keyed by a hash of the C source, so
 recompiles happen only when the kernel changes. Set
@@ -25,11 +27,6 @@ _N_PARAMS = 36
 
 _loaded = False
 _fn = None
-
-
-def kernel_enabled():
-    """False when the user opted out via ``REPRO_BATCH_KERNEL=0``."""
-    return os.environ.get("REPRO_BATCH_KERNEL", "1") != "0"
 
 
 def _source_path():
@@ -84,8 +81,6 @@ def load_kernel():
     if _loaded:
         return _fn
     _loaded = True
-    if not kernel_enabled():
-        return None
     so = build_kernel()
     if so is None:
         return None
@@ -104,7 +99,7 @@ def load_kernel():
 
 
 def reset_kernel_cache():
-    """Forget the memoized load result (test hook for the env gates)."""
+    """Forget the memoized load result (test hook)."""
     global _loaded, _fn
     _loaded = False
     _fn = None

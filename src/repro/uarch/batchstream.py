@@ -7,7 +7,7 @@ The branch predictor, the L1 instruction cache, and the fetch-group
 partition are equally lane-invariant — they are driven only by that
 stream. This module walks clones of those structures once per batch and
 flattens the result into plain arrays (:class:`StreamPlan`) that the
-vector engine (:mod:`repro.uarch.batchcore`) indexes per cycle.
+compiled batch kernel (:mod:`repro.uarch.batchcore`) indexes per cycle.
 
 What *does* differ per lane is the fault realization: each campaign draw
 reseeds the injector's per-instance RNG from its ``measurement_seed``.

@@ -245,21 +245,14 @@ class OoOCore:
         shape) and ``max_cycles`` total (default: a generous multiple of
         the budget; backstop for pathological-but-progressing runs).
         Both raise :class:`SimulationHangError` with a full occupancy
-        snapshot of the queueing structures.
+        snapshot of the queueing structures. The telemetry sampler and
+        thermal model are latched at window start, so they must attach
+        before ``run()``, as ``begin_measurement`` does.
         """
         if max_committed <= 0:
             raise ValueError("max_committed must be positive")
         if max_cycles is None:
             max_cycles = 400 * max_committed + 20000
-        from repro.uarch.fastloop import fast_eligible, run_fast
-
-        if fast_eligible(self):
-            result = run_fast(self, max_committed, max_cycles, hang_cycles)
-            if result is not None:
-                return result
-            # an observer attached mid-window and the fast loop bailed
-            # at a cycle boundary; the reference loop below picks the
-            # window up with the observer live from its next cycle
         stats = self.stats
         progress_committed = stats.committed
         progress_cycle = self.cycle

@@ -11,6 +11,7 @@ from repro.harness.parallel import (
     ResultCache,
     model_version,
     run_many,
+    source_digest,
 )
 from repro.harness.runner import RunSpec, run_one
 from repro.uarch.config import CoreConfig
@@ -210,6 +211,25 @@ def test_cached_result_survives_pickle_round_trip(tmp_path):
 def test_model_version_is_stable():
     assert model_version() == model_version()
     assert len(model_version()) == 16
+
+
+def test_model_version_covers_the_kernel_source(tmp_path):
+    """A one-byte edit to the C kernel must retire cached results."""
+    import shutil
+
+    import repro
+
+    root = tmp_path / "repro"
+    shutil.copytree(
+        os.path.dirname(os.path.abspath(repro.__file__)), root,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    assert source_digest(str(root)) == model_version()
+    kernel = root / "uarch" / "batchkernel.c"
+    code = bytearray(kernel.read_bytes())
+    code[-1] ^= 1
+    kernel.write_bytes(bytes(code))
+    assert source_digest(str(root)) != model_version()
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,11 @@ for every lane, its SimStats digest, cache counters, and energy numbers
 must equal the scalar snapshot-fork run bit for bit, and a campaign
 journal written with batching on must be byte-identical to one written
 with it off. The grid here crosses schemes × supply × storm on/off ×
-lane counts N∈{1,4,16}, on both engine back ends (compiled kernel and
-pure-numpy fallback), and a hypothesis test pins that forcing lane
-evictions at arbitrary points (the mid-window divergence path) cannot
-change any result.
+lane counts N∈{1,4,16} on the compiled kernel, a hypothesis test pins
+that forcing lane evictions at arbitrary points (the mid-window
+divergence path) cannot change any result, and the two whole-batch
+degrade causes (no kernel, a config beyond its limits) are checked to
+land on the scalar path with the cause reported.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.faults.storm import StormConfig
 from repro.harness.parallel import run_many
 from repro.harness.runner import RunSpec
 from repro.uarch.batchstream import have_numpy
+from repro.uarch.config import CoreConfig
 
 pytestmark = pytest.mark.skipif(
     not have_numpy(), reason="batch engine requires numpy"
@@ -38,11 +40,12 @@ def _digest(result):
     }
 
 
-def _specs(scheme, vdd, n, snap_dir, storm=None, first_mseed=1):
+def _specs(scheme, vdd, n, snap_dir, storm=None, first_mseed=1,
+           config=None):
     out = []
     for i in range(n):
         spec = RunSpec(
-            scheme=scheme, vdd=vdd, storm=storm,
+            scheme=scheme, vdd=vdd, storm=storm, config=config,
             measurement_seed=first_mseed + i, **POINT,
         )
         spec.snapshot_dir = str(snap_dir)
@@ -72,15 +75,16 @@ def scalar_ref(snap_dir):
     return ref
 
 
-@pytest.fixture(params=["kernel", "numpy"])
-def engine_path(request, monkeypatch):
+@pytest.fixture(params=["kernel"])
+def engine_path(request):
+    """The batch engine under test; without it the grid compares scalar
+    with scalar, so a missing kernel skips rather than passes."""
     from repro.uarch import batchkernel
 
-    if request.param == "numpy":
-        monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
     batchkernel.reset_kernel_cache()
-    yield request.param
-    batchkernel.reset_kernel_cache()
+    if batchkernel.load_kernel() is None:
+        pytest.skip("compiled batch kernel unavailable (no C compiler)")
+    return request.param
 
 
 @pytest.mark.parametrize("n", LANE_COUNTS)
@@ -94,6 +98,36 @@ def test_batch_matches_scalar(scheme, vdd, n, snap_dir, scalar_ref,
         _specs(scheme, vdd, n, snap_dir), batch_lanes=max(2, n)
     )
     assert [_digest(r) for r in batched] == scalar_ref(scheme, vdd, n)
+
+
+@pytest.mark.parametrize(
+    "no_kernel, config, cause",
+    [
+        (True, None, "kernel unavailable"),
+        (False, CoreConfig(iq_size=128), "iq_size 128"),
+    ],
+    ids=["no-kernel", "iq128"],
+)
+def test_whole_batch_degrades_to_scalar(no_kernel, config, cause, snap_dir,
+                                        monkeypatch):
+    """No kernel, or a plan beyond its static limits: every lane runs on
+    the scalar path, bit-identically, and the report names the cause."""
+    from repro.snapshot.batch import BatchReport, run_batch
+    from repro.uarch import batchcore
+
+    if no_kernel:
+        monkeypatch.setattr(batchcore, "load_kernel", lambda: None)
+    specs = _specs(SchemeKind.ABS, 0.97, 4, snap_dir, config=config)
+    scalar = run_many(
+        _specs(SchemeKind.ABS, 0.97, 4, snap_dir, config=config),
+        batch_lanes=0,
+    )
+    report = BatchReport()
+    batched = run_batch(specs, str(snap_dir), report)
+    assert [_digest(r) for r in batched] == [_digest(r) for r in scalar]
+    assert report.vector_lanes == 0
+    assert report.scalar_lanes == 4
+    assert cause in report.fallback_reason
 
 
 @pytest.mark.parametrize("vdd", VDDS)
