@@ -21,9 +21,7 @@ the campaign aborts with :class:`CampaignError`; the journal keeps every
 draw that finished, so an abort is always resumable.
 """
 
-import math
 import os
-import time
 
 from repro.campaign.journal import (
     Journal,
@@ -34,7 +32,7 @@ from repro.campaign.journal import (
 from repro.campaign.plan import CampaignSpec, extract_metrics
 from repro.campaign.scheduler import PointScheduler, failure_record
 from repro.campaign.stats import PointAccumulator
-from repro.harness.parallel import ResultCache, prewarm_snapshots, run_many
+from repro.harness.parallel import MAX_LANES, ResultCache, run_many
 
 
 class CampaignError(RuntimeError):
@@ -45,71 +43,17 @@ class CampaignTimeout(CampaignError):
     """A batch exceeded its per-run timeout budget."""
 
 
-def _pool_run(specs, jobs, store, timeout):
-    """Run ``specs`` on a pool, enforcing a wall-clock budget.
-
-    The budget is ``timeout`` per run over the pool's effective depth
-    (``ceil(n / jobs)`` waves), i.e. a per-run timeout enforced at batch
-    granularity: one hung worker trips it within a bounded multiple of
-    ``timeout``. On breach the pool is terminated (killing hung workers)
-    and :class:`CampaignTimeout` is raised; finished results are already
-    in the cache, so a retry only re-runs the stragglers.
-    """
-    import multiprocessing
-
-    results = [store.load(spec) if store else None for spec in specs]
-    todo = [i for i, r in enumerate(results) if r is None]
-    if not todo:
-        return results
-    n_jobs = max(1, min(jobs or os.cpu_count() or 1, len(todo)))
-    # warm missing snapshot prefixes before dispatch: each single-spec
-    # apply_async below would otherwise re-warm the shared prefix in its
-    # own worker (the prewarm itself is outside the timeout budget)
-    prewarm_snapshots([specs[i] for i in todo], n_jobs)
-    budget = timeout * math.ceil(len(todo) / n_jobs)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context()
-    pool = ctx.Pool(n_jobs)
-    try:
-        handles = [
-            (i, pool.apply_async(run_many, ([specs[i]],))) for i in todo
-        ]
-        deadline = time.monotonic() + budget
-        for i, handle in handles:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise multiprocessing.TimeoutError
-            results[i] = handle.get(remaining)[0]
-            if store and not getattr(results[i], "is_failure", False):
-                store.store(specs[i], results[i])
-    except multiprocessing.TimeoutError:
-        pool.terminate()
-        raise CampaignTimeout(
-            f"batch of {len(todo)} runs missed its "
-            f"{budget:.0f}s budget ({timeout}s/run)"
-        ) from None
-    finally:
-        pool.close()
-        pool.join()
-    return results
-
-
 def make_run_fn(jobs=1, cache=True, cache_dir=None, timeout=None, retries=2,
-                batch_lanes=None):
+                batch_lanes=MAX_LANES):
     """Build the batch-execution callable used by :func:`run_campaign`.
 
-    The returned function maps ``specs -> results`` with bounded retry:
-    exceptions from workers (and timeout breaches) are retried up to
-    ``retries`` times; completed runs persist in the result cache across
-    attempts, so retries only re-execute the failures.
-
-    ``batch_lanes >= 2`` routes draws sharing a warmup snapshot through
-    the lockstep batch engine (bit-identical, several times faster per
-    draw). The timeout path keeps per-run granularity and therefore runs
-    scalar: its budget accounting and straggler-kill semantics are per
-    simulation, which a many-lane engine call would coarsen.
+    The returned function maps ``specs -> results`` through
+    :func:`~repro.harness.parallel.run_many` with bounded retry:
+    exceptions from workers and timeout breaches (raised as
+    :class:`CampaignTimeout`) are retried up to ``retries`` times;
+    completed runs persist in the result cache across attempts, so
+    retries only re-execute the stragglers. ``timeout`` and
+    ``batch_lanes`` pass through to ``run_many``.
     """
     if isinstance(cache, ResultCache):
         store = cache
@@ -122,11 +66,11 @@ def make_run_fn(jobs=1, cache=True, cache_dir=None, timeout=None, retries=2,
         last_error = None
         for _attempt in range(retries + 1):
             try:
-                if timeout is None:
-                    return run_many(specs, jobs=jobs, cache=store or False,
-                                    batch_lanes=batch_lanes)
-                return _pool_run(specs, jobs, store, timeout)
-            except Exception as exc:  # noqa: BLE001 — worker crash/timeout
+                return run_many(specs, jobs=jobs, cache=store or False,
+                                batch_lanes=batch_lanes, timeout=timeout)
+            except TimeoutError as exc:
+                last_error = CampaignTimeout(str(exc))
+            except Exception as exc:  # noqa: BLE001 — worker crash
                 last_error = exc
         raise CampaignError(
             f"batch failed after {retries + 1} attempts: {last_error!r}"
@@ -135,34 +79,54 @@ def make_run_fn(jobs=1, cache=True, cache_dir=None, timeout=None, retries=2,
     return run_fn
 
 
-def draw_metadata(run_spec, result):
-    """``(telemetry_summary, snapshot_key)`` journaled with one draw.
+def run_draws(spec, point, indices, run_fn):
+    """Run the paired draws ``indices`` of ``point`` as one ``run_fn`` call.
 
-    ``telemetry_summary`` is the scheme run's interval-metrics summary
-    dict (``None`` unless the campaign set a telemetry interval);
-    ``snapshot_key`` is the warmup snapshot key the run forked from
-    (``None`` when the draw ran cold). Shared by the single-pool journal
-    hook and fleet workers so both journal identical ``run`` events.
+    Returns one outcome per index, in index order: the draw's journal
+    ``run`` event dict, or the :class:`~repro.verify.bundle.RunFailure`
+    of its scheme or baseline run. The single-pool executor and fleet
+    workers both journal these events, so their journals are
+    byte-identical.
     """
-    telem = getattr(result, "telemetry", None)
-    summary = telem.summary() if telem is not None else None
-    snapshot_key = None
-    if getattr(run_spec, "snapshot_dir", None) is not None:
-        from repro.snapshot import snapshot_eligible
+    pairs = [spec.pair_specs(point, i) for i in indices]
+    results = run_fn([run_spec for pair in pairs for run_spec in pair])
+    outcomes = []
+    for offset, index in enumerate(indices):
+        result, baseline = results[2 * offset], results[2 * offset + 1]
+        failed = next(
+            (c for c in (result, baseline)
+             if getattr(c, "is_failure", False)),
+            None,
+        )
+        if failed is not None:
+            outcomes.append(failed)
+            continue
+        values, counts = extract_metrics(result, baseline)
+        telem = getattr(result, "telemetry", None)
+        outcomes.append(run_event(
+            point.id, index, spec.seed_for(point, index), values, counts,
+            telem.summary() if telem is not None else None,
+            _snapshot_key(pairs[offset][0]),
+        ))
+    return outcomes
 
-        if snapshot_eligible(run_spec):
-            snapshot_key = run_spec.warmup_key()
-    return summary, snapshot_key
+
+def _snapshot_key(run_spec):
+    """The warmup snapshot key a run forked from (``None`` if cold)."""
+    if getattr(run_spec, "snapshot_dir", None) is None:
+        return None
+    from repro.snapshot import snapshot_eligible
+
+    return run_spec.warmup_key() if snapshot_eligible(run_spec) else None
 
 
 def measure_point(spec, point, run_fn, acc=None, on_run=None):
     """Measure one grid point until its stopping rule fires.
 
     ``acc`` may carry replayed draws (resume); sampling continues from
-    index ``acc.n``. ``on_run(point, index, seed, values, counts,
-    telemetry, snapshot_key=...)`` is called once per completed draw, in
-    index order — the journal hook (see :func:`draw_metadata` for the
-    last two arguments).
+    index ``acc.n``. ``on_run(event)`` is called with the journal
+    ``run`` event of each completed draw, in index order — the journal
+    hook (see :func:`run_draws`).
 
     The batching and stopping decisions live in
     :class:`~repro.campaign.scheduler.PointScheduler` — the same object
@@ -180,30 +144,20 @@ def measure_point(spec, point, run_fn, acc=None, on_run=None):
         indices = scheduler.next_batch()
         if indices is None:
             return scheduler.acc, scheduler.stopped, scheduler.failure
-        pairs = [spec.pair_specs(point, i) for i in indices]
-        flat = [run_spec for pair in pairs for run_spec in pair]
-        results = run_fn(flat)
-        for offset, index in enumerate(indices):
-            result, baseline = results[2 * offset], results[2 * offset + 1]
-            failed = next(
-                (c for c in (result, baseline)
-                 if getattr(c, "is_failure", False)),
-                None,
+        for outcome in run_draws(spec, point, indices, run_fn):
+            if getattr(outcome, "is_failure", False):
+                scheduler.fail(outcome)
+                return scheduler.acc, "failed", outcome
+            scheduler.record(
+                outcome["index"], outcome["metrics"], outcome["counts"]
             )
-            if failed is not None:
-                scheduler.fail(failed)
-                return scheduler.acc, "failed", failed
-            values, counts = extract_metrics(result, baseline)
-            scheduler.record(index, values, counts)
             if on_run is not None:
-                summary, snapshot_key = draw_metadata(pairs[offset][0], result)
-                on_run(point, index, spec.seed_for(point, index),
-                       values, counts, summary, snapshot_key=snapshot_key)
+                on_run(outcome)
 
 
 def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
                  resume=False, timeout=None, retries=2, run_fn=None,
-                 snapshots=True, snapshot_dir=None, batch_lanes=None):
+                 snapshots=True, snapshot_dir=None):
     """Execute (or resume) the campaign rooted at ``directory``.
 
     With ``spec`` given and no manifest present, the campaign is planned
@@ -212,8 +166,10 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
     typo from silently double-counting a finished study.
 
     ``run_fn`` overrides batch execution entirely (tests inject
-    counters/fakes); by default :func:`make_run_fn` wires the batch
-    engine with ``jobs``/``cache``/``timeout``/``retries``.
+    counters/fakes); by default :func:`make_run_fn` wires
+    :func:`~repro.harness.parallel.run_many` with
+    ``jobs``/``cache``/``timeout``/``retries``, so draws sharing a warmup
+    snapshot run through the lockstep batch engine, bit-identically.
 
     ``snapshots`` (default on) forks eligible runs from the warmup
     snapshot cache at ``snapshot_dir`` — defaulting to the result cache's
@@ -221,11 +177,6 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
     prune covers both. The cache location is an execution detail: results
     are bit-identical with snapshots on, off, or pointed elsewhere, and a
     campaign resumes correctly across a snapshot-cache wipe.
-
-    ``batch_lanes`` (default: ``REPRO_BATCH_LANES``, else off) enables
-    the lockstep batch engine for draws sharing a warmup snapshot — see
-    :func:`make_run_fn`; journals and reports are bit-identical with
-    batching on or off.
 
     Returns the final report dict (also written to ``report.json`` /
     ``report.md``).
@@ -252,8 +203,7 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
             "pass resume=True (CLI: `campaign resume`) to continue it"
         )
     if run_fn is None:
-        run_fn = make_run_fn(jobs, cache, cache_dir, timeout, retries,
-                             batch_lanes)
+        run_fn = make_run_fn(jobs, cache, cache_dir, timeout, retries)
     # verified/storm runs drop their repro bundles inside the campaign
     spec.repro_dir = os.path.join(directory, "bundles")
     if snapshots:
@@ -271,12 +221,6 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
             or default_root
         )
 
-    def on_run(point, index, seed, values, counts, telemetry=None,
-               snapshot_key=None):
-        journal.append(run_event(
-            point.id, index, seed, values, counts, telemetry, snapshot_key
-        ))
-
     with journal:
         for point in spec.points():
             if point.id in state.completed:
@@ -285,7 +229,7 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
             for record in state.runs.get(point.id, []):
                 acc.push(record["metrics"], record["counts"])
             acc, reason, failure = measure_point(
-                spec, point, run_fn, acc, on_run
+                spec, point, run_fn, acc, journal.append
             )
             event = {
                 "event": "point", "point": point.id, "n": acc.n,

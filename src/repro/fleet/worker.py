@@ -5,11 +5,13 @@ identifies itself (name + model version — the coordinator rejects a
 version skew that would silently mix incompatible simulations), receives
 the full :class:`~repro.campaign.plan.CampaignSpec` in the ``config``
 reply, and then loops *request → lease → execute → stream*. Each leased
-draw runs through the stock batch engine (:func:`repro.harness.parallel.
-run_many`): the first draw of a leased point warms its pipeline snapshot
-once, every later draw forks from it. Completed draws are streamed back
-as verbatim journal ``run`` events — the coordinator appends them to
-this worker's shard journal — and a :class:`~repro.verify.bundle.
+draw runs through the single-pool executor's own draw path
+(:func:`repro.campaign.executor.run_draws` over :func:`repro.harness.
+parallel.run_many`): the first draw of a leased point warms its pipeline
+snapshot once, and the draws of a lease advance together through the
+lockstep batch engine. Completed draws are streamed back as verbatim
+journal ``run`` events — the coordinator appends them to this worker's
+shard journal — and a :class:`~repro.verify.bundle.
 RunFailure` draw turns into a ``failure`` message carrying the failure
 record (its repro bundle stays on the worker's filesystem at the path
 the record names).
@@ -35,9 +37,8 @@ import hashlib
 import os
 import socket
 
-from repro.campaign.executor import draw_metadata
-from repro.campaign.journal import run_event
-from repro.campaign.plan import CampaignSpec, GridPoint, extract_metrics
+from repro.campaign.executor import run_draws
+from repro.campaign.plan import CampaignSpec, GridPoint
 from repro.campaign.scheduler import failure_record
 from repro.fleet.protocol import ProtocolError, read_message, send_message
 from repro.fleet.security import (
@@ -47,6 +48,7 @@ from repro.fleet.security import (
     new_nonce,
     worker_proof,
 )
+from repro.harness.parallel import ResultCache, run_many
 
 DEFAULT_RECONNECT_ATTEMPTS = 5
 DEFAULT_RECONNECT_DELAY = 0.5
@@ -73,7 +75,7 @@ class FleetWorker:
                  reconnect_delay=DEFAULT_RECONNECT_DELAY,
                  reconnect_max_delay=DEFAULT_RECONNECT_MAX_DELAY,
                  secret=None, tls_ca=None, tls_cert=None, tls_key=None,
-                 throttle=0.0, batch_lanes=None):
+                 throttle=0.0):
         self.host = host
         self.port = int(port)
         self.name = name or default_worker_name()
@@ -88,18 +90,12 @@ class FleetWorker:
             secret.encode() if isinstance(secret, str) else secret
         )
         self._ssl = client_ssl_context(tls_ca, tls_cert, tls_key)
-        #: artificial per-draw delay in seconds — a straggler dial for
-        #: work-stealing tests and load experiments, not production use
+        #: artificial delay in seconds before each streamed draw — a
+        #: straggler dial for work-stealing tests and load experiments,
+        #: not production use
         self.throttle = float(throttle)
-        from repro.snapshot.batch import resolve_batch_lanes
-
-        #: ≥ 2 vectorizes a lease's draws through the lockstep batch
-        #: engine, that many lanes per engine call (default:
-        #: $REPRO_BATCH_LANES, else per-draw scalar execution)
-        self.batch_lanes = resolve_batch_lanes(batch_lanes)
         self.spec = None
         self._store = None
-        self._baseline_memo = (None, None)  # (spec key, result) w/o cache
         self.draws_done = 0
 
     # ------------------------------------------------------------------
@@ -274,8 +270,6 @@ class FleetWorker:
 
     # ------------------------------------------------------------------
     def _configure(self, config):
-        from repro.harness.parallel import ResultCache
-
         self.spec = CampaignSpec.from_dict(config["spec"])
         self.spec.repro_dir = config.get("repro_dir")
         if self.snapshots:
@@ -297,93 +291,32 @@ class FleetWorker:
         )
         lease_id = lease["lease"]
         indices = list(lease["indices"])
-        # lease batching: chunk the leased indices so draws sharing this
-        # point's warmup snapshot advance together through the lockstep
-        # engine; throttled workers stay per-draw (the dial is a
-        # straggler simulation, coarser chunks would distort it)
-        lanes = self.batch_lanes if self.throttle <= 0 else 1
-        step = max(1, lanes)
-        for at in range(0, len(indices), step):
-            chunk = indices[at:at + step]
+        # the lease's draws run as one call, so they share the point's
+        # baseline and advance together through the lockstep engine; a
+        # throttled worker then streams them one per throttle delay
+        outcomes = await asyncio.to_thread(
+            run_draws, self.spec, point, indices, self._run_fn
+        )
+        for index, outcome in zip(indices, outcomes):
             if self.throttle > 0:
                 await asyncio.sleep(self.throttle)
-            outcomes = await asyncio.to_thread(
-                self._run_draws, point, chunk
-            )
-            for index, (kind, payload) in zip(chunk, outcomes):
-                if kind == "entry":
-                    self.draws_done += 1
-                    await send_message(writer, {
-                        "type": "entry", "lease": lease_id, "entry": payload,
-                    }, lock)
-                else:
-                    await send_message(writer, {
-                        "type": "failure", "lease": lease_id,
-                        "point": point.id, "index": index,
-                        "failure": payload,
-                    }, lock)
-                    return
+            if getattr(outcome, "is_failure", False):
+                await send_message(writer, {
+                    "type": "failure", "lease": lease_id,
+                    "point": point.id, "index": index,
+                    "failure": failure_record(outcome),
+                }, lock)
+                return
+            self.draws_done += 1
+            await send_message(writer, {
+                "type": "entry", "lease": lease_id, "entry": outcome,
+            }, lock)
         await send_message(
             writer, {"type": "lease_done", "lease": lease_id}, lock
         )
 
-    def _run_draws(self, point, indices):
-        """Execute paired draws synchronously (worker thread).
-
-        Returns one ``("entry", run-event-dict)`` or ``("failure",
-        failure-record-dict)`` per index, in order; processing past a
-        failure is the caller's concern (it abandons the lease). The run
-        events are constructed with the exact helper the single-pool
-        journal hook uses, so the bytes the coordinator appends are the
-        bytes ``campaign run`` would have written — with ``batch_lanes``
-        the scheme runs advance in engine lockstep, bit-identically.
-        """
-        from repro.harness.parallel import run_many
-
-        pairs = [self.spec.pair_specs(point, i) for i in indices]
-        store = self._store if self._store is not None else False
-        results = run_many(
-            [run_spec for run_spec, _base in pairs], jobs=1, cache=store,
-            batch_lanes=self.batch_lanes if len(indices) > 1 else 0,
-        )
-        outcomes = []
-        for index, (run_spec, base_spec), result in zip(
-            indices, pairs, results
-        ):
-            baseline = self._run_baseline(base_spec, store)
-            failed = next(
-                (c for c in (result, baseline)
-                 if getattr(c, "is_failure", False)),
-                None,
-            )
-            if failed is not None:
-                outcomes.append(("failure", failure_record(failed)))
-                continue
-            values, counts = extract_metrics(result, baseline)
-            telemetry, snapshot_key = draw_metadata(run_spec, result)
-            outcomes.append(("entry", run_event(
-                point.id, index, self.spec.seed_for(point, index),
-                values, counts, telemetry, snapshot_key,
-            )))
-        return outcomes
-
-    def _run_baseline(self, base_spec, store):
-        """The paired fault-free run, memoized per point without a cache.
-
-        In fault draw mode every draw of a point shares one baseline
-        spec; with the result cache on, :func:`run_many` already makes
-        repeats free, and without it a one-slot memo avoids re-running a
-        deterministic simulation once per draw.
-        """
-        from repro.harness.parallel import run_many
-
-        key = base_spec.key()
-        if self._store is None and self._baseline_memo[0] == key:
-            return self._baseline_memo[1]
-        baseline = run_many([base_spec], jobs=1, cache=store)[0]
-        if self._store is None and not getattr(baseline, "is_failure", False):
-            self._baseline_memo = (key, baseline)
-        return baseline
+    def _run_fn(self, specs):
+        return run_many(specs, cache=self._store or False)
 
 
 def run_worker(host, port, **kwargs):

@@ -609,11 +609,6 @@ def _add_exec_options(parser):
                         help="per-run timeout in seconds (default: none)")
     parser.add_argument("--retries", type=int, default=2,
                         help="bounded retries for failed/hung batches")
-    parser.add_argument("--batch-lanes", type=int, default=None, metavar="N",
-                        help="vectorize draws sharing a warmup snapshot, "
-                             "N lanes per batch-engine call (default: "
-                             "$REPRO_BATCH_LANES, else off; results are "
-                             "bit-identical either way)")
     parser.add_argument("--no-snapshot", action="store_true",
                         help="disable warmup snapshot forking (always "
                              "re-simulate warmups)")
@@ -785,7 +780,7 @@ def _campaign_main(argv):
             cache=not args.no_cache, cache_dir=args.cache_dir,
             resume=args.verb == "resume", timeout=args.timeout,
             retries=args.retries, snapshots=not args.no_snapshot,
-            snapshot_dir=args.snapshot_dir, batch_lanes=args.batch_lanes,
+            snapshot_dir=args.snapshot_dir,
         )
     except (CampaignError, ValueError, FileNotFoundError) as exc:
         print(str(exc), file=sys.stderr)
@@ -961,10 +956,6 @@ def _fleet_parser():
     worker.add_argument("--throttle", type=float, default=0.0, metavar="S",
                         help="artificial per-draw delay — a straggler "
                              "dial for work-stealing experiments")
-    worker.add_argument("--batch-lanes", type=int, default=None, metavar="N",
-                        help="vectorize a lease's draws through the batch "
-                             "engine, N lanes per call (default: "
-                             "$REPRO_BATCH_LANES, else per-draw)")
     run = verbs.add_parser(
         "run", help="coordinator + N local workers, one command"
     )
@@ -1172,8 +1163,7 @@ def _fleet_main(argv):
             cache_dir=args.cache_dir, snapshots=not args.no_snapshot,
             snapshot_dir=args.snapshot_dir, secret=secret,
             tls_ca=args.tls_ca, tls_cert=args.tls_cert,
-            tls_key=args.tls_key, throttle=args.throttle,
-            batch_lanes=args.batch_lanes, **kwargs,
+            tls_key=args.tls_key, throttle=args.throttle, **kwargs,
         )
 
     # serve / run

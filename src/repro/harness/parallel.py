@@ -17,6 +17,10 @@ The experiment drivers (tables, figures, calibration, shmoo) all reduce to
   seeds everywhere), so fan-out cannot change results; a determinism test
   pins ``run_many(jobs=N) == serial``.
 
+* **Batching** — cache misses sharing one warmup snapshot run as lanes of
+  one lockstep batch-engine call (:mod:`repro.snapshot.batch`), bit-
+  identically to running them one by one.
+
 Both are safe because runs are deterministic and self-contained: a spec
 fully determines its result (see ``RunSpec.canonical``).
 """
@@ -25,12 +29,16 @@ import hashlib
 import os
 import pickle
 import sys
+import time
 
 from repro.harness.diskcache import BlobStore
 from repro.harness.runner import run_one
 
 #: cache-format version; bump to orphan every existing cache entry.
 _CACHE_FORMAT = 1
+
+#: most lanes one batch-engine call advances (the ``batch_lanes`` default)
+MAX_LANES = 64
 
 _version_cache = None
 
@@ -160,78 +168,100 @@ def _resolve_jobs(jobs, n_pending):
     return max(1, min(jobs, n_pending))
 
 
+def _pool(n_procs):
+    import multiprocessing
+
+    # fork (when available) shares the warm program caches with the
+    # workers; spawn still works because the tasks are importable
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        ctx = multiprocessing.get_context()
+    return ctx.Pool(n_procs)
+
+
 def _task(item):
     # module-level so it pickles under every multiprocessing start method;
-    # items are ("batch", [specs...]) or ("one", spec)
-    kind, payload = item
-    if kind == "batch":
+    # ``item`` is (task number, specs): one spec, or the lanes of a batch
+    number, specs = item
+    if len(specs) > 1:
         from repro.snapshot.batch import run_batch
 
-        return run_batch(payload, payload[0].snapshot_dir)
-    return _worker(payload)
+        return number, run_batch(specs, specs[0].snapshot_dir)
+    return number, [_worker(specs[0])]
 
 
 def _plan_tasks(todo, batch_lanes):
-    """Partition ``todo`` into pool tasks, vectorizing where possible.
+    """Partition ``todo`` into pool tasks, each a list of specs.
 
     Eligible specs sharing one warmup snapshot (and snapshot dir) become
-    ``("batch", group)`` tasks of up to ``batch_lanes`` lanes; everything
-    else stays a ``("one", spec)`` task. Returns ``(tasks, index_lists)``
-    where ``index_lists[t]`` maps task ``t``'s results back to positions
-    in ``todo``.
+    multi-lane tasks of up to ``batch_lanes`` lanes for the lockstep
+    batch engine; everything else, configurations the kernel never
+    models included, is a one-spec task. Batch tasks are
+    formed only when the compiled kernel loads: without it every lane
+    would run serially inside one scalar fallback, losing the fan-out.
     """
     from repro.snapshot.batch import batch_groups
 
     by_dir = {}
-    for i, spec in enumerate(todo):
-        sd = getattr(spec, "snapshot_dir", None)
-        if sd is not None:
-            by_dir.setdefault(str(sd), []).append(i)
-    index_of = {id(spec): i for i, spec in enumerate(todo)}
-    grouped = set()
-    tasks = []
-    index_lists = []
-    for indices in by_dir.values():
-        groups, _rest = batch_groups([todo[i] for i in indices], batch_lanes)
-        for group in groups:
-            tasks.append(("batch", group))
-            index_lists.append([index_of[id(spec)] for spec in group])
-            grouped.update(index_lists[-1])
-    for i, spec in enumerate(todo):
-        if i not in grouped:
-            tasks.append(("one", spec))
-            index_lists.append([i])
-    return tasks, index_lists
-
-
-def _run_todo(todo, n_jobs, batch_lanes):
-    """Run the cache-missing specs; results aligned with ``todo``."""
+    for spec in todo:
+        directory = getattr(spec, "snapshot_dir", None)
+        if directory is not None:
+            by_dir.setdefault(str(directory), []).append(spec)
+    groups = []
     if batch_lanes > 1:
-        tasks, index_lists = _plan_tasks(todo, batch_lanes)
-    else:
-        tasks = [("one", spec) for spec in todo]
-        index_lists = [[i] for i in range(len(todo))]
-    if n_jobs > 1 and len(tasks) > 1:
-        import multiprocessing
+        for members in by_dir.values():
+            groups += batch_groups(members, batch_lanes)[0]
+    if groups:
+        from repro.uarch import batchcore
 
-        # fork (when available) shares the warm program caches with
-        # the workers; spawn still works because _task is importable
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        with ctx.Pool(min(n_jobs, len(tasks))) as pool:
-            outs = pool.map(_task, tasks)
-    else:
-        outs = [_task(item) for item in tasks]
-    results = [None] * len(todo)
-    for (kind, _payload), indices, out in zip(tasks, index_lists, outs):
-        if kind == "batch":
-            for i, result in zip(indices, out):
-                results[i] = result
-        else:
-            results[indices[0]] = out
-    return results
+        if batchcore.load_kernel() is None:
+            groups = []
+    grouped = {id(spec) for group in groups for spec in group}
+    return groups + [[spec] for spec in todo if id(spec) not in grouped]
+
+
+def _run_tasks(tasks, n_jobs, timeout, n_runs):
+    """Yield ``(specs, results)`` for each task as it completes.
+
+    Without a ``timeout`` a single worker runs the tasks in-process.
+    With one, the tasks always run on a pool, under a wall-clock budget
+    of ``timeout`` per run over the pool's depth, every lane of a batch
+    counting as one run (a batch may run its lanes one by one). Workers
+    take tasks as they free up, so a task starts once at most
+    ``(n_runs - lanes) // workers`` runs' worth of time has passed and
+    the depth is that plus the largest task's lanes — ``ceil(n_runs /
+    workers)`` when every task is one run. On breach the pool is
+    terminated, killing hung workers, and ``TimeoutError`` is raised;
+    tasks already yielded keep their results.
+    """
+    items = list(enumerate(tasks))
+    n_procs = min(n_jobs, len(tasks))
+    if timeout is None and n_procs == 1:
+        for number, results in map(_task, items):
+            yield tasks[number], results
+        return
+    import multiprocessing
+
+    budget = None
+    if timeout is not None:
+        largest = max(len(task) for task in tasks)
+        budget = timeout * ((n_runs - largest) // n_procs + largest)
+        deadline = time.monotonic() + budget
+    with _pool(n_procs) as pool:
+        done = pool.imap_unordered(_task, items)
+        for _item in items:
+            wait = None
+            if budget is not None:
+                wait = max(0.0, deadline - time.monotonic())
+            try:
+                number, results = done.next(wait)
+            except multiprocessing.TimeoutError:
+                raise TimeoutError(
+                    f"batch of {n_runs} runs missed its {budget:.0f}s "
+                    f"budget ({timeout}s/run)"
+                ) from None
+            yield tasks[number], results
 
 
 def _ensure_snapshot_worker(spec):
@@ -241,7 +271,7 @@ def _ensure_snapshot_worker(spec):
     ensure_snapshot(spec, spec.snapshot_dir)
 
 
-def prewarm_snapshots(specs, n_jobs=1):
+def _warm_snapshots(specs, n_jobs=1):
     """Warm each unique warmup prefix of ``specs`` once, storing snapshots.
 
     Without this pre-pass, parallel cache misses sharing one warmup
@@ -249,10 +279,6 @@ def prewarm_snapshots(specs, n_jobs=1):
     store only dedupes after the first write lands. Missing prefixes are
     warmed once (in parallel when the batch itself is parallel) so the
     fan-out that follows forks every draw from a warmed snapshot.
-
-    Public because every execution tier reuses it: ``run_many`` batches,
-    the campaign executor's timeout pool, and fleet workers warming a
-    leased point once before streaming its draws.
     """
     from repro.snapshot import SnapshotCache, ensure_snapshot, snapshot_eligible
 
@@ -268,35 +294,27 @@ def prewarm_snapshots(specs, n_jobs=1):
     ]
     if not todo:
         return
-    n_jobs = max(1, int(n_jobs))
-    if min(n_jobs, len(todo)) > 1:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        with ctx.Pool(min(n_jobs, len(todo))) as pool:
+    n_procs = min(max(1, int(n_jobs)), len(todo))
+    if n_procs > 1:
+        with _pool(n_procs) as pool:
             pool.map(_ensure_snapshot_worker, todo)
     else:
         for spec in todo:
             ensure_snapshot(spec, spec.snapshot_dir)
 
 
-#: former private name, kept for callers that predate the public export
-_prewarm_snapshots = prewarm_snapshots
-
-
 def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
-             batch_lanes=None):
+             batch_lanes=MAX_LANES, timeout=None):
     """Run a batch of specs; results in the same order as ``specs``.
 
-    ``jobs``: worker processes for the cache misses. ``1`` (the default)
-    runs serially in-process; ``None``/``0`` uses every core. ``cache``:
-    when true, consult and populate the on-disk :class:`ResultCache`
-    (rooted at ``cache_dir``, the ``REPRO_CACHE_DIR`` environment
-    variable, or ``./.sim_cache``). An existing :class:`ResultCache` may
-    be passed directly as ``cache``.
+    The one executor every simulation of an experiment or campaign goes
+    through. ``jobs``: worker processes for the cache misses. ``1`` (the
+    default) runs serially in-process; ``None``/``0`` uses every core.
+    ``cache``: when true, consult and populate the on-disk
+    :class:`ResultCache` (rooted at ``cache_dir``, the
+    ``REPRO_CACHE_DIR`` environment variable, or ``./.sim_cache``). An
+    existing :class:`ResultCache` may be passed directly as ``cache``;
+    each task's results are stored as soon as the task completes.
 
     ``snapshot_dir``: when set, stamp it onto every spec as the warmup
     snapshot cache location (specs already carrying a ``snapshot_dir``
@@ -304,18 +322,21 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
     exactly once and every eligible run forks from its snapshot — see
     :mod:`repro.snapshot`.
 
-    ``batch_lanes``: when ≥ 2 (default: ``REPRO_BATCH_LANES``, else off),
-    cache-missing specs that share one warmup snapshot run through the
-    lockstep batch engine (:mod:`repro.snapshot.batch`), up to that many
-    lanes per engine call. Results are bit-identical to the scalar path;
-    ineligible specs and singleton groups run scalar as before.
+    Cache-missing specs that share one warmup snapshot run through the
+    lockstep batch engine (:mod:`repro.snapshot.batch`), up to
+    ``batch_lanes`` lanes per engine call, whenever the compiled kernel
+    loads. Results are bit-identical to the scalar path; ineligible
+    specs and singleton groups run scalar. ``batch_lanes=0`` runs every
+    spec on the scalar path — the bit-identity reference.
+
+    ``timeout``: seconds per run; the whole call then runs on a pool
+    (even at ``jobs=1``) and raises ``TimeoutError`` once the batch
+    overruns its budget (see :func:`_run_tasks`). Results of tasks that
+    finished before the breach are already in the cache.
 
     Identical specs in one batch are simulated once and share the result.
     """
-    from repro.snapshot.batch import resolve_batch_lanes
-
     specs = list(specs)
-    batch_lanes = resolve_batch_lanes(batch_lanes)
     if isinstance(cache, ResultCache):
         store = cache
     elif cache:
@@ -328,33 +349,30 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
                 spec.snapshot_dir = str(snapshot_dir)
 
     keys = [spec.key() for spec in specs]
-    results = [None] * len(specs)
-    pending = {}  # spec key -> first index (dedup within the batch)
-    for i, (spec, key) in enumerate(zip(specs, keys)):
-        if key in pending or results[i] is not None:
+    found = {}  # spec key -> result
+    todo = {}  # spec key -> first cache-missing spec (dedup in the batch)
+    for spec, key in zip(specs, keys):
+        if key in found or key in todo:
             continue
         cached = store.load(spec) if store is not None else None
-        if cached is not None:
-            for j in range(i, len(specs)):
-                if keys[j] == key:
-                    results[j] = cached
+        if cached is None:
+            todo[key] = spec
         else:
-            pending[key] = i
+            found[key] = cached
 
-    if pending:
-        todo = [specs[i] for i in pending.values()]
+    if todo:
         n_jobs = _resolve_jobs(jobs, len(todo))
-        prewarm_snapshots(todo, n_jobs)
-        fresh = _run_todo(todo, n_jobs, batch_lanes)
-        for (key, i), result in zip(pending.items(), fresh):
-            # failures are never cached: a transient capture must not
-            # poison future batches with a pre-failed result
-            if store is not None and not getattr(result, "is_failure", False):
-                store.store(specs[i], result)
-            for j in range(len(specs)):
-                if keys[j] == key:
-                    results[j] = result
-    return results
+        _warm_snapshots(todo.values(), n_jobs)
+        tasks = _plan_tasks(list(todo.values()), batch_lanes)
+        for task, results in _run_tasks(tasks, n_jobs, timeout, len(todo)):
+            for spec, result in zip(task, results):
+                # failures are never cached: a transient capture must
+                # not poison future batches with a pre-failed result
+                if store is not None and not getattr(
+                        result, "is_failure", False):
+                    store.store(spec, result)
+                found[spec.key()] = result
+    return [found[key] for key in keys]
 
 
 def collect_series(results):

@@ -23,8 +23,6 @@ Correctness never depends on the kernel handling every corner:
 CI ``batch-smoke`` gate use it to detect a silently all-scalar batch.
 """
 
-import os
-
 from repro.core.schemes import make_scheme
 from repro.harness.runner import SimResult, measure, run_one
 from repro.isa.opcodes import OpClass, PipeStage
@@ -58,20 +56,6 @@ class BatchReport:
         )
 
 
-def resolve_batch_lanes(batch_lanes=None):
-    """Effective lane count: the explicit value, else ``REPRO_BATCH_LANES``.
-
-    Returns 0 (batching off) for unset, malformed, or negative values —
-    the callers treat anything below 2 as "scalar path only".
-    """
-    if batch_lanes is None:
-        try:
-            batch_lanes = int(os.environ.get("REPRO_BATCH_LANES", "0"))
-        except ValueError:
-            batch_lanes = 0
-    return max(0, int(batch_lanes))
-
-
 def batch_eligible(spec):
     """True when ``spec`` may run as one lane of a batched measurement.
 
@@ -90,20 +74,32 @@ def batch_eligible(spec):
     )
 
 
+def kernel_models(spec):
+    """False when ``spec``'s configuration makes every batch plan fall back
+    (:func:`~repro.uarch.batchcore.config_fallback`): a group of such
+    specs would only run its lanes one by one inside a single task."""
+    from repro.uarch.batchcore import config_fallback
+    from repro.uarch.config import CoreConfig
+
+    config = spec.config or CoreConfig.core1()
+    return config_fallback(make_scheme(spec.scheme), config) is None
+
+
 def batch_groups(specs, max_lanes):
     """Partition ``specs`` into (batchable-group, scalar-rest).
 
     Returns ``(groups, rest)`` where each group is a list of 2..max_lanes
     specs sharing one warmup key (one snapshot, one plan) and ``rest``
-    collects everything else — ineligible specs and singleton groups,
-    which gain nothing from the batch path. Input order is preserved
-    within each list.
+    collects everything else — ineligible specs, specs the kernel never
+    models (:func:`kernel_models`) and singleton groups, which gain
+    nothing from the batch path. Input order is preserved within each
+    list.
     """
     groups = {}
     rest = []
     order = []
     for spec in specs:
-        if not batch_eligible(spec):
+        if not (batch_eligible(spec) and kernel_models(spec)):
             rest.append(spec)
             continue
         key = spec.warmup_key()

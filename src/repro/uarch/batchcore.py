@@ -109,6 +109,34 @@ def _fallback(cond, why):
         raise BatchFallback(why)
 
 
+#: the compiled kernel sizes its selection scratch statically
+#: (``ready_pos[64]``/``sel_pos[8]`` in batchkernel.c)
+_KERNEL_MAX_IQ = 64
+_KERNEL_MAX_WIDTH = 8
+
+
+def config_fallback(scheme, config):
+    """Why every batch plan for ``scheme`` on ``config`` falls back.
+
+    ``None`` when the kernel models the pair. These rejections hold
+    whatever the boundary state, so the batch planner keeps such specs
+    out of batches altogether.
+    """
+    if scheme.detects_criticality:
+        return "criticality detection (CDS)"
+    if config.mem_dependence == "store_sets":
+        return "store-set predictor"
+    if config.replay_mode != "selective":
+        return "flush-style replay mode"
+    if config.iq_size > _KERNEL_MAX_IQ:
+        return (f"iq_size {config.iq_size} exceeds the kernel limit "
+                f"{_KERNEL_MAX_IQ}")
+    if config.width > _KERNEL_MAX_WIDTH:
+        return (f"width {config.width} exceeds the kernel limit "
+                f"{_KERNEL_MAX_WIDTH}")
+    return None
+
+
 def build_plan(core, target, margin=256):
     """Flatten ``core`` (a forked, measurement-ready OoOCore) for a batch.
 
@@ -125,9 +153,8 @@ def build_plan(core, target, margin=256):
     _fallback(core._done_fetching, "trace exhausted at boundary")
     _fallback(core._dispatch_hold_until > A0, "in-order stall at boundary")
     _fallback(core._tep_gate == 2, "dynamic sensor gate")
-    _fallback(core.cdl is not None, "criticality detection (CDS)")
-    _fallback(core.memdep is not None, "store-set predictor")
-    _fallback(not core._selective_mode, "flush-style replay mode")
+    why = config_fallback(scheme, cfg)
+    _fallback(why is not None, why)
     _fallback(core.ebus is not None, "telemetry event bus attached")
     _fallback(core.telemetry_sampler is not None, "telemetry sampler")
     _fallback(core.commit_listener is not None, "commit listener attached")
@@ -559,12 +586,6 @@ def _plan_lane_mem(plan, hier):
     plan.lat_mem = hier._lat_mem
 
 
-#: the compiled kernel sizes its selection scratch statically
-#: (``ready_pos[64]``/``sel_pos[8]`` in batchkernel.c)
-_KERNEL_MAX_IQ = 64
-_KERNEL_MAX_WIDTH = 8
-
-
 class BatchEngine:
     """Per-lane state arrays for N fault-tape lanes over one plan.
 
@@ -668,23 +689,14 @@ class BatchEngine:
         """Advance all lanes to completion; returns per-lane raw results.
 
         One compiled-kernel call mutates this engine's arrays in place.
-        Raises :class:`BatchFallback` when the kernel is unavailable or
-        the plan exceeds its static limits. ``force_evict`` maps lane ->
+        Raises :class:`BatchFallback` when the kernel is unavailable
+        (:func:`build_plan` already rejected a configuration beyond its
+        static limits). ``force_evict`` maps lane ->
         virtual cycle; the lane is evicted at the top of that cycle (test
         hook for the divergence path).
         """
         p = self.plan
         N = self.N
-        if p.iq_size > _KERNEL_MAX_IQ:
-            raise BatchFallback(
-                f"iq_size {p.iq_size} exceeds the kernel limit "
-                f"{_KERNEL_MAX_IQ}"
-            )
-        if p.width > _KERNEL_MAX_WIDTH:
-            raise BatchFallback(
-                f"width {p.width} exceeds the kernel limit "
-                f"{_KERNEL_MAX_WIDTH}"
-            )
         fn = load_kernel()
         if fn is None:
             raise BatchFallback("compiled batch kernel unavailable")

@@ -3,12 +3,15 @@
 ``batchkernel.c`` holds a per-lane C transliteration of the
 ``OoOCore.run`` cycle loop that advances the state arrays of a
 :class:`~repro.uarch.batchcore.BatchEngine`. This module compiles it
-with the system C compiler the first time a batch runs and binds the
-entry point via :mod:`ctypes`. Everything is best-effort: no compiler,
-a failed compile, or a read-only cache dir all degrade to returning
-``None``, in which case ``BatchEngine.run`` raises ``BatchFallback`` and
-the batch runs lane by lane on the scalar snapshot-fork path (same
-results, slower).
+with the system C compiler the first time
+:func:`~repro.harness.parallel.run_many` finds draws it could batch, and
+binds the entry point via :mod:`ctypes`. Everything is best-effort: no
+compiler, a failed compile, or a read-only cache dir all degrade to
+returning ``None``. ``run_many`` then forms no batch tasks, so every draw
+runs as its own scalar task and keeps the ``jobs`` fan-out; a direct
+:func:`~repro.snapshot.batch.run_batch` call gets ``BatchFallback`` from
+``BatchEngine.run`` and runs its lanes one by one on the scalar
+snapshot-fork path (same results, slower).
 
 The shared object is cached on disk keyed by a hash of the C source, so
 recompiles happen only when the kernel changes. Set

@@ -343,7 +343,7 @@ class TestBoundedRetry:
     def test_make_run_fn_bounds_retries(self, monkeypatch):
         attempts = []
 
-        def boom(specs, jobs=1, cache=False, batch_lanes=None):
+        def boom(specs, jobs=1, cache=False, batch_lanes=64, timeout=None):
             attempts.append(1)
             raise OSError("worker crashed")
 
@@ -352,6 +352,114 @@ class TestBoundedRetry:
         with pytest.raises(CampaignError, match="3 attempts"):
             run_fn([object()])
         assert len(attempts) == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timeout_kills_hung_runs_and_keeps_finished_ones(
+            self, jobs, tmp_path, monkeypatch):
+        """A hung run trips the budget; finished runs stay cached."""
+        import multiprocessing
+        import time
+
+        from repro.core.schemes import SchemeKind
+        from repro.harness import parallel
+        from repro.harness.runner import RunSpec
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the hang is patched in; needs fork workers")
+        worker = parallel._worker
+
+        def hang_on_seed_2(spec):
+            if spec.seed == 2:
+                time.sleep(120)
+            return worker(spec)
+
+        monkeypatch.setattr(parallel, "_worker", hang_on_seed_2)
+        specs = [
+            RunSpec("astar", SchemeKind.EP, vdd=0.97, seed=seed, **_FAST)
+            for seed in (1, 2, 3)
+        ]
+        store = parallel.ResultCache(tmp_path)
+        timeout = 1.0
+        budget = timeout * -(-len(specs) // jobs)
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="budget"):
+            run_many(specs, jobs=jobs, cache=store, timeout=timeout)
+        assert time.monotonic() - start < budget + 5
+        # serially, the hang blocks seed 3; with 2 workers it runs beside
+        finished = {1} if jobs == 1 else {1, 3}
+        for spec in specs:
+            assert (store.load(spec) is not None) == (spec.seed in finished)
+
+        attempts = []
+
+        def counting_run_many(*args, **kwargs):
+            attempts.append(1)
+            return run_many(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.campaign.executor.run_many", counting_run_many
+        )
+        run_fn = make_run_fn(jobs=jobs, cache=store, timeout=timeout,
+                             retries=1)
+        with pytest.raises(CampaignError, match="2 attempts.*CampaignTimeout"):
+            run_fn(specs)
+        assert len(attempts) == 2
+
+    @pytest.mark.parametrize(
+        "scheme, lanes", [("CDS", [1, 1, 1, 1]), ("ABS", [4])],
+        ids=["CDS", "ABS"],
+    )
+    def test_timeout_budget_covers_lanes_run_one_by_one(
+            self, scheme, lanes, tmp_path, monkeypatch):
+        """At jobs=2, runs slower than timeout/jobs finish inside the
+        budget: CDS draws (the kernel never models them) stay one-spec
+        tasks, and the budget of an ABS batch covers its lanes running
+        one by one, as when the kernel evicts every lane."""
+        import multiprocessing
+        import time
+
+        import repro.snapshot.batch as batch
+        from repro.core.schemes import SchemeKind
+        from repro.harness import parallel
+        from repro.harness.runner import RunSpec
+        from repro.uarch import batchcore
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the delay is patched in; needs fork workers")
+        worker = parallel._worker
+
+        def slow_worker(spec):
+            time.sleep(1.0)
+            return worker(spec)
+
+        def lane_by_lane(specs, snapshot_dir, **kwargs):
+            return [slow_worker(spec) for spec in specs]
+
+        planned = []
+        plan_tasks = parallel._plan_tasks
+
+        def plan_spy(todo, batch_lanes):
+            tasks = plan_tasks(todo, batch_lanes)
+            planned.extend(len(task) for task in tasks)
+            return tasks
+
+        monkeypatch.setattr(parallel, "_worker", slow_worker)
+        monkeypatch.setattr(batch, "run_batch", lane_by_lane)
+        monkeypatch.setattr(batchcore, "load_kernel", lambda: object())
+        monkeypatch.setattr(parallel, "_plan_tasks", plan_spy)
+        specs = [
+            RunSpec("astar", SchemeKind[scheme], vdd=0.97, seed=1,
+                    measurement_seed=m, **_FAST)
+            for m in (1, 2, 3, 4)
+        ]
+        store = parallel.ResultCache(tmp_path / "cache")
+        # 1.5 s/run over 2 jobs: 3 s for four runs spread over both
+        # workers, 6 s when one task holds all four lanes
+        results = run_many(specs, jobs=2, cache=store, timeout=1.5,
+                           snapshot_dir=tmp_path / "snapshots")
+        assert planned == lanes
+        assert all(store.load(spec) is not None for spec in specs)
+        assert not any(getattr(r, "is_failure", False) for r in results)
 
     def test_make_run_fn_executes_real_specs(self, tmp_path):
         spec = _spec(schemes=["EP"], seeds=[1])

@@ -78,12 +78,14 @@ class TestWorkerDeath:
             )
             serve = asyncio.create_task(coordinator.serve())
             await coordinator.ready.wait()
+            # a throttled worker streams its 4-draw lease one draw per
+            # delay (an unthrottled one sends the lease in one burst),
+            # so killing it the moment its first draw is journaled is
+            # guaranteed to land mid-lease
             victim = spawn_worker(
                 coordinator.host, coordinator.port, "victim",
-                cache=False, snapshots=False,
+                cache=False, snapshots=False, throttle=0.3,
             )
-            # kill the worker the moment its first draw is journaled —
-            # with a 4-draw lease it is guaranteed to die mid-lease
             await _await_journal_lines(shard_path(fleet, "victim"), 1)
             victim.send_signal(signal.SIGKILL)
             victim.wait()

@@ -41,6 +41,21 @@ class TestFleetRun:
             tmp_path / "pool" / "report.json"
         ).read_bytes()
 
+    def test_snapshot_forked_batched_leases_match_single_pool(self, tmp_path):
+        """With snapshots on, workers batch each lease's draws on the
+        snapshot fork path; the bytes must not change."""
+        run_campaign(str(tmp_path / "pool"), spec=_spec(), cache=False)
+        fleet_run(
+            tmp_path / "fleet", spec=_spec(), workers=2, cache=False,
+            linger=0.2,
+        )
+        for name in ("journal.jsonl", "report.json"):
+            assert (tmp_path / "fleet" / name).read_bytes() == (
+                tmp_path / "pool" / name
+            ).read_bytes()
+        journal = (tmp_path / "pool" / "journal.jsonl").read_text()
+        assert '"snapshot": ' in journal  # the draws forked a snapshot
+
     def test_draws_split_across_workers(self, tmp_path):
         fleet_run(
             tmp_path, spec=_spec(), workers=2, cache=False,

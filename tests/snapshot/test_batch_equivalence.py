@@ -10,7 +10,10 @@ lane counts N∈{1,4,16} on the compiled kernel, a hypothesis test pins
 that forcing lane evictions at arbitrary points (the mid-window
 divergence path) cannot change any result, and the two whole-batch
 degrade causes (no kernel, a config beyond its limits) are checked to
-land on the scalar path with the cause reported.
+land on the scalar path with the cause reported. ``run_many`` batches by
+default and forms no batch task when the kernel is missing or never
+models the scheme;
+``run_many(..., batch_lanes=0)`` is the scalar reference throughout.
 """
 
 import pytest
@@ -100,6 +103,55 @@ def test_batch_matches_scalar(scheme, vdd, n, snap_dir, scalar_ref,
     assert [_digest(r) for r in batched] == scalar_ref(scheme, vdd, n)
 
 
+def test_run_many_batches_by_default(snap_dir, scalar_ref, engine_path,
+                                     monkeypatch):
+    """Without a ``batch_lanes`` argument, same-key specs take the batch
+    engine and still match the ``batch_lanes=0`` scalar reference."""
+    import repro.snapshot.batch as batch
+
+    lanes = []
+    run_batch = batch.run_batch
+
+    def spy(specs, snapshot_dir, **kwargs):
+        lanes.append(len(specs))
+        return run_batch(specs, snapshot_dir, **kwargs)
+
+    monkeypatch.setattr(batch, "run_batch", spy)
+    results = run_many(_specs(SchemeKind.ABS, 0.97, 4, snap_dir))
+    assert lanes == [4]
+    assert [_digest(r) for r in results] == scalar_ref(
+        SchemeKind.ABS, 0.97, 4
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, kernel",
+    [(SchemeKind.ABS, None), (SchemeKind.CDS, object())],
+    ids=["no-kernel", "cds"],
+)
+def test_unrunnable_batch_stays_one_spec_tasks(scheme, kernel, snap_dir,
+                                               scalar_ref, monkeypatch):
+    """Without the kernel, or for a scheme it never models (CDS's
+    criticality detection), run_many keeps one task per spec (so ``jobs``
+    still fans out) instead of a serial whole-batch fallback."""
+    from repro.harness import parallel
+    from repro.uarch import batchcore
+
+    monkeypatch.setattr(batchcore, "load_kernel", lambda: kernel)
+    tasks = []
+    plan_tasks = parallel._plan_tasks
+
+    def spy(todo, batch_lanes):
+        planned = plan_tasks(todo, batch_lanes)
+        tasks.extend(planned)
+        return planned
+
+    monkeypatch.setattr(parallel, "_plan_tasks", spy)
+    results = run_many(_specs(scheme, 0.97, 4, snap_dir), jobs=2)
+    assert [len(task) for task in tasks] == [1, 1, 1, 1]
+    assert [_digest(r) for r in results] == scalar_ref(scheme, 0.97, 4)
+
+
 @pytest.mark.parametrize(
     "no_kernel, config, cause",
     [
@@ -162,14 +214,15 @@ def _tiny_campaign_spec():
 
 def test_campaign_journal_bytes_identical(tmp_path, snap_dir):
     """A batched campaign's journal and report are byte-equal to scalar."""
-    from repro.campaign.executor import run_campaign
+    from repro.campaign.executor import make_run_fn, run_campaign
 
     outputs = {}
     for label, lanes in (("scalar", 0), ("batch", 4)):
         directory = tmp_path / label
         run_campaign(
             str(directory), spec=_tiny_campaign_spec(), cache=False,
-            snapshot_dir=str(snap_dir), batch_lanes=lanes,
+            snapshot_dir=str(snap_dir),
+            run_fn=make_run_fn(cache=False, batch_lanes=lanes),
         )
         outputs[label] = {
             name: (directory / name).read_bytes()
