@@ -5,7 +5,7 @@ instructions after a 3000-instruction warmup, 12 draws in 4-draw
 batches) through ``fleet_run`` with the worker count swept over
 {1, 2, 4}, and records the end-to-end draw rate of each — including
 coordinator startup, worker process spawn, leasing, and the final
-journal merge, since that is what a user of ``fleet run`` pays. The
+journal rewrite, since that is what a user of ``fleet run`` pays. The
 point's warmup snapshot is built once up front and shared by every
 sweep so the worker counts are compared on identical footing.
 
@@ -94,7 +94,7 @@ def main(argv=None):
     oversubscribed = [w for w in WORKER_COUNTS if w > cpu_count]
     record["campaign_fleet_workload"] = (
         f"gcc/ABS/vdd=0.97, {N_DRAWS} draws in 4-draw leases, "
-        "end-to-end fleet run incl. worker spawn and journal merge"
+        "end-to-end fleet run incl. worker spawn and journal rewrite"
     )
     record["campaign_fleet_draws_per_s"] = rates
     record["campaign_fleet_cpu_count"] = cpu_count

@@ -11,9 +11,13 @@ fixed-N design at the same statistical quality (pinned by
 
 Progress is journaled draw-by-draw (:mod:`repro.campaign.journal`), so
 an interrupted campaign resumes exactly: completed points are skipped
-outright, partial points replay their recorded draws into the
-accumulator and continue from the next index, and the shared result
-cache makes any re-executed in-flight run nearly free.
+outright, partial points replay their recorded draws into their
+:class:`~repro.campaign.scheduler.PointScheduler` and run only the draws
+still missing, and the shared result cache makes any re-executed
+in-flight run nearly free. The same holds for a killed fleet directory:
+its journal is the same file, only in arrival order, so ``campaign
+resume`` continues it on a local pool. Both executors end in
+:func:`finish_campaign`.
 
 Worker failures are bounded: a batch that raises (worker crash) or
 exceeds the per-run timeout is retried up to ``retries`` times before
@@ -25,13 +29,13 @@ import os
 
 from repro.campaign.journal import (
     Journal,
+    point_event,
     read_manifest,
     run_event,
     write_manifest,
 )
 from repro.campaign.plan import CampaignSpec, extract_metrics
 from repro.campaign.scheduler import PointScheduler, failure_record
-from repro.campaign.stats import PointAccumulator
 from repro.harness.parallel import MAX_LANES, ResultCache, run_many
 
 
@@ -120,13 +124,15 @@ def _snapshot_key(run_spec):
     return run_spec.warmup_key() if snapshot_eligible(run_spec) else None
 
 
-def measure_point(spec, point, run_fn, acc=None, on_run=None):
+def measure_point(spec, point, run_fn, records=(), on_run=None):
     """Measure one grid point until its stopping rule fires.
 
-    ``acc`` may carry replayed draws (resume); sampling continues from
-    index ``acc.n``. ``on_run(event)`` is called with the journal
-    ``run`` event of each completed draw, in index order — the journal
-    hook (see :func:`run_draws`).
+    ``records`` are the point's journaled ``run`` events (resume): they
+    replay through :meth:`~repro.campaign.scheduler.PointScheduler.
+    replay`, and sampling continues with the draws still missing.
+    ``on_run(event)`` is called with the journal ``run`` event of each
+    completed draw, in index order — the journal hook (see
+    :func:`run_draws`).
 
     The batching and stopping decisions live in
     :class:`~repro.campaign.scheduler.PointScheduler` — the same object
@@ -139,20 +145,35 @@ def measure_point(spec, point, run_fn, acc=None, on_run=None):
     (with its repro-bundle path) rides along and draws already pushed
     stay in ``acc``; ``failure`` is ``None`` otherwise.
     """
-    scheduler = PointScheduler(spec, point, acc)
-    while True:
-        indices = scheduler.next_batch()
-        if indices is None:
-            return scheduler.acc, scheduler.stopped, scheduler.failure
-        for outcome in run_draws(spec, point, indices, run_fn):
+    scheduler = PointScheduler(spec, point)
+    scheduler.replay(records)
+    while scheduler.next_batch() is not None:
+        for outcome in run_draws(spec, point, scheduler.pending(), run_fn):
             if getattr(outcome, "is_failure", False):
                 scheduler.fail(outcome)
-                return scheduler.acc, "failed", outcome
+                break
             scheduler.record(
                 outcome["index"], outcome["metrics"], outcome["counts"]
             )
             if on_run is not None:
                 on_run(outcome)
+    return scheduler.acc, scheduler.stopped, scheduler.failure
+
+
+def finish_campaign(directory):
+    """Rewrite the journal in canonical order, then write the reports.
+
+    The one finishing step of the single-pool executor and the fleet
+    coordinator: a journal appended in arrival order (a fleet's) comes
+    out byte-identical to one appended in index order. Returns the
+    report dict.
+    """
+    from repro.campaign.report import write_reports
+
+    spec = CampaignSpec.from_dict(read_manifest(directory)["spec"])
+    journal = Journal(directory)
+    journal.rewrite(spec, journal.replay())
+    return write_reports(directory)
 
 
 def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
@@ -178,11 +199,13 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
     are bit-identical with snapshots on, off, or pointed elsewhere, and a
     campaign resumes correctly across a snapshot-cache wipe.
 
+    A fleet directory (``fleet run``/``fleet serve``) is a campaign
+    directory too: ``resume=True`` continues a killed fleet's journal,
+    gaps and out-of-order draws included, on the local pool.
+
     Returns the final report dict (also written to ``report.json`` /
     ``report.md``).
     """
-    from repro.campaign.report import write_reports
-
     directory = str(directory)
     if spec is not None:
         spec.validate()
@@ -196,7 +219,7 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
         journal.repair()
     state = journal.replay()
     if state.done:
-        return write_reports(directory)
+        return finish_campaign(directory)
     if state.n_events and not resume:
         raise CampaignError(
             f"{directory} already has journaled progress; "
@@ -225,22 +248,16 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
         for point in spec.points():
             if point.id in state.completed:
                 continue
-            acc = PointAccumulator(z=spec.z)
-            for record in state.runs.get(point.id, []):
-                acc.push(record["metrics"], record["counts"])
             acc, reason, failure = measure_point(
-                spec, point, run_fn, acc, journal.append
+                spec, point, run_fn, state.runs.get(point.id, ()),
+                journal.append,
             )
-            event = {
-                "event": "point", "point": point.id, "n": acc.n,
-                "stopped": reason,
-                "summary": acc.summary() if acc.n else None,
-            }
-            if failure is not None:
-                # the point is journaled as completed-but-failed (resume
-                # skips it; the campaign continues past it) with enough
-                # to find and replay the repro bundle
-                event["failure"] = failure_record(failure)
-            journal.append(event)
+            # a failed point is journaled as completed-but-failed (resume
+            # skips it; the campaign continues past it) with enough to
+            # find and replay the repro bundle
+            journal.append(point_event(
+                point.id, acc.n, reason, acc.summary() if acc.n else None,
+                failure_record(failure) if failure is not None else None,
+            ))
         journal.append({"event": "done"})
-    return write_reports(directory)
+    return finish_campaign(directory)

@@ -7,16 +7,27 @@ A campaign directory holds::
     <dir>/report.json      # aggregate report (rewritten on completion)
     <dir>/report.md        # human-readable rendering of the same
 
-The journal is the single source of truth for progress. Every completed
+The journal is the single source of truth for progress, for the
+single-pool executor and the fleet coordinator alike. Every completed
 seed draw appends a ``run`` event carrying its extracted metrics, every
 finished grid point appends a ``point`` event with the stopping summary,
 and campaign completion appends ``done``. Appends are flushed and
 fsynced line-by-line, so a kill can lose at most the line being written;
 :meth:`Journal.replay` tolerates a torn trailing line by ignoring any
-undecodable tail. Resume = replay the journal, skip completed points,
-and continue partial points from their recorded draw count.
+undecodable tail.
+
+Events land in arrival order — a fleet's workers finish draws out of
+order, and a lease reassignment can deliver one draw twice — so every
+reader folds through :meth:`JournalState.fold`: draws deduplicated by
+``(point, index)`` and kept in index order, the first ``point`` event
+of a point wins. A finished campaign's journal is rewritten once in
+canonical order (:meth:`Journal.rewrite`), which makes a fleet journal
+byte-identical to a single-pool one. Resume = replay the journal, skip
+completed points, and continue partial points from their recorded
+draws.
 """
 
+import bisect
 import json
 import os
 import sys
@@ -34,7 +45,7 @@ def run_event(point_id, index, seed, values, counts, telemetry=None,
 
     Single source of truth for the event shape: the single-pool executor
     journals these directly and fleet workers stream the *same* dicts
-    over the wire, so a merged fleet journal is byte-identical to a
+    over the wire, so a finished fleet journal is byte-identical to a
     single-pool one (both serialize with ``json.dumps(sort_keys=True)``).
     """
     event = {
@@ -102,30 +113,59 @@ class JournalState:
     """Replayed view of a journal: what already happened."""
 
     def __init__(self):
-        #: point id -> list of run records (in append order)
+        #: point id -> run records, deduplicated and in index order
         self.runs = {}
-        #: point id -> its ``point`` completion event
+        #: point id -> its (first) ``point`` completion event
         self.completed = {}
         self.done = False
         self.n_events = 0
         self.n_torn = 0
+        self._indices = {}  # point id -> sorted draw indices (bisect)
 
     @property
     def total_runs(self):
         """Seed draws recorded across all points."""
         return sum(len(records) for records in self.runs.values())
 
+    def fold(self, event):
+        """Absorb one journal event; True when it changed the state.
+
+        Idempotent: a draw already held (same ``(point, index)``), a
+        second ``point`` event of a point, and a second ``done`` are
+        dropped. Re-executed draws are bit-identical (the seed stream is
+        hash-derived from the master seed), so which copy wins is
+        cosmetic; the first one does.
+        """
+        kind = event.get("event")
+        point_id = event.get("point")
+        if kind == "run":
+            index = event.get("index")
+            indices = self._indices.setdefault(point_id, [])
+            at = bisect.bisect_left(indices, index)
+            if at < len(indices) and indices[at] == index:
+                return False
+            indices.insert(at, index)
+            self.runs.setdefault(point_id, []).insert(at, event)
+        elif kind == "point":
+            if point_id in self.completed:
+                return False
+            self.completed[point_id] = event
+        elif kind == "done":
+            if self.done:
+                return False
+            self.done = True
+        else:
+            return False
+        self.n_events += 1
+        return True
+
 
 class Journal:
-    """Append-only JSONL event log of one campaign directory.
+    """Append-only JSONL event log of one campaign directory."""
 
-    ``name`` overrides the journal filename — fleet coordinators keep one
-    journal per shard (``shards/<worker>.jsonl``) with the same mechanics.
-    """
-
-    def __init__(self, directory, name=JOURNAL_NAME):
+    def __init__(self, directory):
         self.directory = str(directory)
-        self.path = os.path.join(self.directory, name)
+        self.path = os.path.join(self.directory, JOURNAL_NAME)
         self._fh = None
 
     def append(self, event):
@@ -210,12 +250,29 @@ class Journal:
                 except json.JSONDecodeError:
                     state.n_torn += 1
                     continue
-                state.n_events += 1
-                kind = event.get("event")
-                if kind == "run":
-                    state.runs.setdefault(event["point"], []).append(event)
-                elif kind == "point":
-                    state.completed[event["point"]] = event
-                elif kind == "done":
-                    state.done = True
+                state.fold(event)
         return state
+
+    def rewrite(self, spec, state):
+        """Atomically replace the journal with ``state`` in canonical order.
+
+        Every point's ``run`` events in index order followed by its
+        ``point`` event, points in grid order, ``done`` last — the bytes
+        a single-pool campaign of ``spec`` appends. Temp file + rename,
+        so a crash mid-rewrite leaves the old journal intact; rewriting
+        is idempotent.
+        """
+        self.close()
+        tmp = self.path + ".tmp.%d" % os.getpid()
+        with open(tmp, "w") as fh:
+            for point in spec.points():
+                for record in state.runs.get(point.id, []):
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+                completion = state.completed.get(point.id)
+                if completion is not None:
+                    fh.write(json.dumps(completion, sort_keys=True) + "\n")
+            if state.done:
+                fh.write(json.dumps({"event": "done"}, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.path)

@@ -6,7 +6,8 @@ indices and *absorbs* their results — without caring who runs them. The
 single-pool executor (:func:`repro.campaign.executor.measure_point`)
 drives one scheduler synchronously; the fleet coordinator
 (:mod:`repro.fleet.coordinator`) leases each scheduler's batches to
-remote workers and feeds entries back as they stream in.
+remote workers and feeds entries back as they stream in. Both rebuild a
+resumed point the same way, through :meth:`PointScheduler.replay`.
 
 Because both paths share this one object, they make *identical* stopping
 decisions: convergence is only ever evaluated at batch boundaries, draws
@@ -73,6 +74,27 @@ class PointScheduler:
             acc.n, min(acc.n + spec.batch_size, spec.max_seeds)
         )
         return self._batch
+
+    def replay(self, records):
+        """Feed journaled draws (one point's ``run`` events) back in.
+
+        Full batches replay and close, so the stopping rule fires at the
+        same batch boundaries as the uninterrupted run; a partially
+        journaled batch stays in flight with its missing indices
+        :meth:`pending` — whether the journal was cut mid-batch or a
+        fleet's out-of-order arrivals left a gap inside it.
+        """
+        by_index = {r["index"]: r for r in records}
+        while self.next_batch() is not None:
+            missing = False
+            for i in self.pending():
+                record = by_index.get(i)
+                if record is None:
+                    missing = True
+                else:
+                    self.record(i, record["metrics"], record["counts"])
+            if missing:
+                return
 
     def pending(self):
         """Unrecorded indices of the in-flight batch (lease these)."""

@@ -1,12 +1,12 @@
 """In-progress campaign introspection: per-point draw counts and CIs.
 
-``campaign status`` (and ``fleet status`` on a merged or sharded fleet
-directory) answers "how far along is this study?" without touching the
-executor: replay the journal, rebuild each point's accumulator, and
-report its draw count, every target metric's current CI half-width
-against its target, and the stopping-rule state. Works on a live,
-killed, or finished campaign — the journal is the single source of
-truth.
+``campaign status`` (and ``fleet status`` on a fleet directory, live or
+dead — its journal is the same file) answers "how far along is this
+study?" without touching the executor: replay the journal, rebuild each
+point's accumulator, and report its draw count, every target metric's
+current CI half-width against its target, and the stopping-rule state.
+Works on a live, killed, or finished campaign — the journal is the
+single source of truth.
 """
 
 from repro.campaign.journal import Journal, read_manifest
@@ -52,7 +52,7 @@ def status_from_state(spec, state):
         completion = state.completed.get(point.id)
         records = state.runs.get(point.id, [])
         acc = PointAccumulator(z=spec.z)
-        for record in sorted(records, key=lambda r: r["index"]):
+        for record in records:
             acc.push(record["metrics"], record["counts"])
         if completion is not None:
             point_state = completion["stopped"]

@@ -1,7 +1,7 @@
 """Live results service: a dashboard over everything the repro writes.
 
-The campaign engine journals draws, the fleet streams shard journals and
-a lease ledger, runs summarize interval telemetry, failures drop repro
+The campaign engine and the fleet coordinator journal draws, the fleet
+keeps a lease ledger, runs summarize interval telemetry, failures drop repro
 bundles — and this package is the first subsystem that *reads* all of
 it. A stdlib-only asyncio HTTP server (``repro-timing dashboard serve``)
 tails the journals incrementally and serves JSON endpoints, a

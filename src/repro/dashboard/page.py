@@ -159,7 +159,7 @@ function render(f) {
           `<td>${i.granted}</td><td>${i.completed}</td>` +
           `<td>${i.revoked}</td><td>${i.stolen_from}</td></tr>`
         ).join("") + "</table>"
-      : "<p>single-pool campaign (no shards)</p>");
+      : "<p>single-pool campaign (no lease ledger)</p>");
 }
 
 async function refresh() {

@@ -10,20 +10,23 @@ report_from_state`, so a live view is byte-identical (as sorted-key
 JSON) to a cold ``campaign status`` / ``campaign report`` rebuild of
 the same journal — pinned by ``tests/dashboard/test_view.py``.
 
-Folding is idempotent where re-emission is possible: draw records are
-keyed by ``(point, index)`` (the fleet's exactly-once rule), point
-completions first-write-win, and ``done`` is a latch — so a journal
-rotation (the coordinator's atomic merge) that makes the watcher re-read
-a file from byte zero converges to the same state instead of
-double-counting.
+Journal records fold through the one
+:meth:`~repro.campaign.journal.JournalState.fold` every reader uses:
+draws keyed by ``(point, index)`` (the fleet's exactly-once rule) and
+kept in index order, point completions first-write-win, ``done`` a
+latch — so a journal rotation (the finish step's atomic canonical
+rewrite) that makes the watcher re-read the file from byte zero
+converges to the same state instead of double-counting.
 
 The lease ledger feeds a fleet-health side model: open leases, per-worker
-grant/complete/revoke tallies, steal and autoscale event logs, and the
-coordinator's security audit counters (persisted as ledger ``audit``
-records — see :meth:`~repro.fleet.ledger.LeaseLedger.audited`).
+draw and grant/complete/revoke tallies (a lease's journaled draws ride
+on its ``complete``/``revoke`` record, so a worker's draw count moves
+when a lease ends, not per draw), steal and autoscale event logs,
+and the coordinator's security audit counters (persisted as ledger
+``audit`` records — see :meth:`~repro.fleet.ledger.LeaseLedger.
+audited`).
 """
 
-import bisect
 import os
 
 from repro.campaign.journal import JournalState, read_manifest
@@ -31,12 +34,7 @@ from repro.campaign.plan import CampaignSpec
 from repro.campaign.report import report_from_state
 from repro.campaign.stats import PointAccumulator
 from repro.campaign.status import status_from_state
-from repro.dashboard.watcher import (
-    SOURCE_JOURNAL,
-    SOURCE_LEDGER,
-    SOURCE_SHARD,
-    JournalWatcher,
-)
+from repro.dashboard.watcher import SOURCE_JOURNAL, JournalWatcher
 
 #: how many steal / scale events the fleet side model retains (newest
 #: kept; the full history stays in leases.jsonl)
@@ -60,11 +58,10 @@ class CampaignView:
         self.watcher = watcher or JournalWatcher(self.directory)
         self.state = JournalState()
         self.version = 0
-        self._seen = set()  # (point, index) exactly-once gate
-        self._indices = {}  # point id -> sorted draw indices (for bisect)
         self._point_ids = {p.id for p in self.spec.points()}
         self.fleet = {
-            "workers": {},  # name -> {granted, completed, revoked, stolen_from}
+            # name -> {draws, granted, completed, revoked, stolen_from}
+            "workers": {},
             "open_leases": {},  # lease id -> grant record
             "steals": [],
             "scale_events": [],
@@ -80,52 +77,17 @@ class CampaignView:
     def refresh(self):
         """Poll the watcher and fold; returns the number of new records."""
         changed = 0
-        for source, shard, record in self.watcher.poll():
-            if source in (SOURCE_JOURNAL, SOURCE_SHARD):
-                changed += self._fold_journal(record, shard)
-            elif source == SOURCE_LEDGER:
+        for source, record in self.watcher.poll():
+            if source == SOURCE_JOURNAL:
+                if (record.get("event") == "run"
+                        and record.get("point") not in self._point_ids):
+                    continue  # foreign record (corrupt line that decoded?)
+                changed += self.state.fold(record)
+            else:
                 changed += self._fold_ledger(record)
         if changed:
             self.version += 1
         return changed
-
-    def _fold_journal(self, record, shard):
-        kind = record.get("event")
-        if kind == "run":
-            point_id = record.get("point")
-            index = record.get("index")
-            if point_id not in self._point_ids:
-                return 0  # foreign record (corrupt line that decoded?)
-            key = (point_id, index)
-            if key in self._seen:
-                return 0
-            self._seen.add(key)
-            records = self.state.runs.setdefault(point_id, [])
-            indices = self._indices.setdefault(point_id, [])
-            # keep index order on insert: shard arrival order interleaves
-            # workers, but aggregation must push draws in index order
-            at = bisect.bisect_left(indices, index)
-            indices.insert(at, index)
-            records.insert(at, record)
-            if shard is not None and shard != "_coordinator":
-                worker = self._worker(shard)
-                worker["draws"] = worker.get("draws", 0) + 1
-            self.state.n_events += 1
-            return 1
-        if kind == "point":
-            point_id = record.get("point")
-            if point_id in self.state.completed:
-                return 0
-            self.state.completed[point_id] = record
-            self.state.n_events += 1
-            return 1
-        if kind == "done":
-            if self.state.done:
-                return 0
-            self.state.done = True
-            self.state.n_events += 1
-            return 1
-        return 0
 
     def _worker(self, name):
         return self.fleet["workers"].setdefault(
@@ -142,17 +104,16 @@ class CampaignView:
             fleet["leases_granted"] += 1
             self._worker(record.get("worker", "?"))["granted"] += 1
             return 1
-        if kind == "complete":
+        if kind in ("complete", "revoke"):
+            # a lease's journaled draws are credited to its holder, the
+            # same rule the coordinator applies to stolen indices
             grant = fleet["open_leases"].pop(record.get("lease"), None)
-            fleet["leases_completed"] += 1
+            tally = "completed" if kind == "complete" else "revoked"
+            fleet["leases_" + tally] += 1
             if grant is not None:
-                self._worker(grant.get("worker", "?"))["completed"] += 1
-            return 1
-        if kind == "revoke":
-            grant = fleet["open_leases"].pop(record.get("lease"), None)
-            fleet["leases_revoked"] += 1
-            if grant is not None:
-                self._worker(grant.get("worker", "?"))["revoked"] += 1
+                worker = self._worker(grant.get("worker", "?"))
+                worker[tally] += 1
+                worker["draws"] += record.get("draws", 0)
             return 1
         if kind == "steal":
             fleet["steals"].append(record)

@@ -1,13 +1,14 @@
 """Incremental journal tailing: the input side of every live view.
 
-A campaign directory's progress lives in append-only JSONL files — the
-canonical ``journal.jsonl``, per-worker shard journals under ``shards/``,
-and the fleet's ``leases.jsonl`` ledger. :class:`JournalWatcher` tails
-all of them with one ``poll()`` call, emitting each *complete* decoded
-record exactly once, in file append order, tagged with its source. It is
-the shared substrate of the dashboard server, ``campaign status
---follow``, and ``fleet status --follow`` — anything that wants to react
-to a campaign as it runs without re-replaying the world every tick.
+A campaign directory's progress lives in two append-only JSONL files —
+``journal.jsonl`` (the single-pool executor and the fleet coordinator
+both append to it) and, for a fleet, the ``leases.jsonl`` ledger.
+:class:`JournalWatcher` tails both with one ``poll()`` call, emitting
+each *complete* decoded record exactly once, in file append order,
+tagged with its source. It is the shared substrate of the dashboard
+server, ``campaign status --follow``, and ``fleet status --follow`` —
+anything that wants to react to a campaign as it runs without
+re-replaying the world every tick.
 
 Durability edge cases are first-class, not best-effort:
 
@@ -16,16 +17,16 @@ Durability edge cases are first-class, not best-effort:
   tail bytes are buffered, never parsed, and re-examined on the next
   poll; once the newline lands the record is emitted whole. A torn line
   is therefore *delayed*, never dropped or double-emitted.
-* **Rotation/truncation** — ``merge_journals`` atomically replaces
-  ``journal.jsonl``; ``Journal.repair`` truncates torn bytes in place.
-  A shrunken size or a changed inode resets that file's cursor to zero
-  and re-emits its records; consumers that fold records idempotently
-  (:class:`~repro.dashboard.view.CampaignView` keys draws by
+* **Rotation/truncation** — the finish step (``Journal.rewrite``)
+  atomically replaces ``journal.jsonl`` in canonical order;
+  ``Journal.repair`` truncates torn bytes in place. A shrunken size or
+  a changed inode resets that file's cursor to zero and re-emits its
+  records; consumers that fold records idempotently
+  (:meth:`~repro.campaign.journal.JournalState.fold` keys draws by
   ``(point, index)``) converge to the same state regardless.
-* **Late files** — shard journals appear only when their worker first
-  reports, and ``leases.jsonl`` only when a coordinator runs. Every
-  poll re-globs the directory, so files born after the watch started
-  are picked up from byte zero.
+* **Late files** — ``journal.jsonl`` appears with the first event and
+  ``leases.jsonl`` only when a coordinator runs; a file born after the
+  watch started is picked up from byte zero.
 """
 
 import json
@@ -33,21 +34,18 @@ import os
 
 from repro.campaign.journal import JOURNAL_NAME
 from repro.fleet.ledger import LEDGER_NAME
-from repro.fleet.merge import shard_dir
 
 #: source tags carried on every emitted record
 SOURCE_JOURNAL = "journal"
-SOURCE_SHARD = "shard"
 SOURCE_LEDGER = "ledger"
 
 
 class TailedFile:
     """Cursor + torn-tail buffer over one append-only JSONL file."""
 
-    def __init__(self, path, source, shard=None):
+    def __init__(self, path, source):
         self.path = path
         self.source = source
-        self.shard = shard  # worker name for shard journals, else None
         self.offset = 0  # bytes read off the file (incl. buffered tail)
         self.inode = None
         self._tail = b""  # unterminated final-line bytes (torn tail)
@@ -102,64 +100,31 @@ class TailedFile:
 
 
 class JournalWatcher:
-    """Tail every journal artifact of one campaign directory.
+    """Tail the journal and lease ledger of one campaign directory.
 
-    ``poll()`` returns ``[(source, shard_or_None, record), ...]`` in a
-    deterministic order: the canonical journal first, then shards sorted
-    by name, then the lease ledger. Call it on whatever cadence suits
-    the consumer — each call does one ``os.stat`` per known file plus
-    one directory listing, so a sub-second poll is cheap even on large
-    campaigns.
+    ``poll()`` returns ``[(source, record), ...]``: the journal's new
+    records first, then the ledger's. Call it on whatever cadence suits
+    the consumer — each call does one ``os.stat`` per file, so a
+    sub-second poll is cheap even on large campaigns.
     """
 
-    def __init__(self, directory, ledger=True, shards=True):
+    def __init__(self, directory):
         self.directory = str(directory)
-        self.with_ledger = bool(ledger)
-        self.with_shards = bool(shards)
-        self._journal = TailedFile(
-            os.path.join(self.directory, JOURNAL_NAME), SOURCE_JOURNAL
-        )
-        self._ledger = TailedFile(
-            os.path.join(self.directory, LEDGER_NAME), SOURCE_LEDGER
-        )
-        self._shards = {}  # shard name -> TailedFile
-
-    def _discover_shards(self):
-        try:
-            names = sorted(os.listdir(shard_dir(self.directory)))
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".jsonl"):
-                continue
-            shard = name[: -len(".jsonl")]
-            if shard not in self._shards:
-                self._shards[shard] = TailedFile(
-                    os.path.join(shard_dir(self.directory), name),
-                    SOURCE_SHARD, shard=shard,
-                )
+        self._files = [
+            TailedFile(os.path.join(self.directory, JOURNAL_NAME),
+                       SOURCE_JOURNAL),
+            TailedFile(os.path.join(self.directory, LEDGER_NAME),
+                       SOURCE_LEDGER),
+        ]
 
     def poll(self):
-        """Every record appended (to any watched file) since last poll."""
-        out = []
-        for record in self._journal.poll():
-            out.append((SOURCE_JOURNAL, None, record))
-        if self.with_shards:
-            self._discover_shards()
-            for shard in sorted(self._shards):
-                tail = self._shards[shard]
-                for record in tail.poll():
-                    out.append((SOURCE_SHARD, shard, record))
-        if self.with_ledger:
-            for record in self._ledger.poll():
-                out.append((SOURCE_LEDGER, None, record))
-        return out
+        """Every record appended (to either file) since the last poll."""
+        return [
+            (tail.source, record)
+            for tail in self._files for record in tail.poll()
+        ]
 
     @property
     def n_bad(self):
         """Corrupt (terminated but undecodable) lines seen across files."""
-        return (
-            self._journal.n_bad
-            + self._ledger.n_bad
-            + sum(t.n_bad for t in self._shards.values())
-        )
+        return sum(tail.n_bad for tail in self._files)

@@ -10,18 +10,18 @@ guarantees intact:
   executor drives, and draws are keyed by the hash-derived seed stream,
   so a fleet campaign journals exactly the draws — and writes exactly
   the report bytes — a single-pool ``campaign run`` would.
-* **Crash-safety** — every accepted draw is fsynced to a per-worker
-  shard journal before it counts; worker death revokes and re-leases,
-  coordinator death resumes from the shards + lease ledger.
+* **Crash-safety** — the coordinator fsyncs every accepted draw to the
+  campaign's one ``journal.jsonl`` before it counts; worker death
+  revokes and re-leases, coordinator death resumes from the journal +
+  lease ledger (or ``campaign resume`` finishes it on a local pool).
 
 Layers
 ------
 :mod:`repro.fleet.protocol`
     Length-prefixed JSON framing and the message vocabulary.
 :mod:`repro.fleet.ledger`
-    Append-only lease ledger (dispatch audit + lease numbering).
-:mod:`repro.fleet.merge`
-    Shard replay, exactly-once dedup, canonical byte-identical merge.
+    Append-only lease ledger (dispatch audit, lease numbering, per-lease
+    draw credit).
 :mod:`repro.fleet.coordinator`
     The asyncio TCP coordinator: leases, heartbeats, stopping, status.
 :mod:`repro.fleet.worker`
@@ -46,7 +46,6 @@ from repro.fleet.coordinator import (
     read_endpoint,
     serve_fleet,
 )
-from repro.fleet.merge import merge_journals, replay_shards
 from repro.fleet.protocol import ProtocolError
 from repro.fleet.security import SecurityError, resolve_secret
 from repro.fleet.service import ElasticPool, fleet_run
@@ -62,9 +61,7 @@ __all__ = [
     "ProtocolError",
     "SecurityError",
     "fleet_run",
-    "merge_journals",
     "read_endpoint",
-    "replay_shards",
     "resolve_secret",
     "run_worker",
     "serve_fleet",

@@ -6,11 +6,12 @@ It expands the :class:`~repro.campaign.plan.CampaignSpec` grid into
 batch iterator the single-pool executor drives — and leases each
 scheduler's pending draw indices to whichever worker asks. Workers only
 execute: they stream back one journal ``run`` event per completed draw,
-and the coordinator appends it to that worker's shard journal, feeds the
-scheduler, and fires the stopping rule at exactly the batch boundaries a
-single-pool run would. A completed fleet campaign therefore merges
-(:mod:`repro.fleet.merge`) into a journal — and report — byte-identical
-to ``campaign run`` of the same spec.
+and the coordinator appends it to the campaign's ``journal.jsonl``,
+feeds the scheduler, and fires the stopping rule at exactly the batch
+boundaries a single-pool run would. A completed fleet campaign finishes
+through :func:`repro.campaign.executor.finish_campaign`, which rewrites
+the arrival-order journal in canonical order — so the journal and
+report are byte-identical to ``campaign run`` of the same spec.
 
 Robustness invariants:
 
@@ -20,10 +21,11 @@ Robustness invariants:
 * **Worker death** — a closed connection or an expired heartbeat
   revokes the worker's leases; the unrecorded indices are re-leased.
   Entries already journaled from the dead worker are kept.
-* **Coordinator death** — every accepted entry was already fsynced to a
-  shard journal; a restarted coordinator replays shards (+ the lease
-  ledger for lease numbering) and continues, identical to single-pool
-  ``campaign resume``.
+* **Coordinator death** — every accepted entry was already fsynced to
+  ``journal.jsonl``; a restarted coordinator replays it (+ the lease
+  ledger for lease numbering), closes the leases that died with the
+  old coordinator as ``orphaned`` revokes, and continues. ``campaign
+  resume`` can continue the same directory on a local pool instead.
 * **Work-stealing** — when no unleased work remains, an idle worker is
   granted the unfinished tail of the largest outstanding lease (the
   straggler's). The victim keeps executing its shortened lease; any
@@ -53,13 +55,6 @@ from repro.campaign.plan import CampaignSpec
 from repro.campaign.scheduler import PointScheduler
 from repro.campaign.status import status_from_state
 from repro.fleet.ledger import LeaseLedger
-from repro.fleet.merge import (
-    COORDINATOR_SHARD,
-    merge_journals,
-    replay_shards,
-    shard_dir,
-    shard_path,
-)
 from repro.fleet.protocol import ProtocolError, read_message, send_message
 from repro.fleet.security import (
     coordinator_proof,
@@ -71,8 +66,9 @@ from repro.fleet.security import (
 
 ENDPOINT_NAME = "coordinator.json"
 
-#: shard names come off the wire; anything fancier than this is either a
-#: bug or an attempted path escape, and is rejected at hello time
+#: worker names come off the wire and land in the ledger and in status;
+#: anything fancier than this is a bug or a hostile peer, and is
+#: rejected at hello time
 _NAME_OK = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
 )
@@ -156,10 +152,10 @@ class FleetCoordinator:
         self._worker_conn = {}  # worker -> owning connection id
         self._worker_point = {}  # worker -> last leased point (locality)
         self._writers = {}  # worker -> writer (proactive shutdown)
-        self._shards = {}  # worker -> shard Journal
         self._conn_seq = 0
         self._draining = set()  # workers told to finish up and exit
         self._waiting = {}  # worker -> monotonic since last wait reply
+        self.journaled = 0  # draws journaled by this coordinator
 
     # ------------------------------------------------------------------
     # state (re)construction
@@ -187,21 +183,28 @@ class FleetCoordinator:
         else:
             self.worker_snapshot_dir = None
 
-        base_journal = Journal(self.directory)
+        self._journal = Journal(self.directory)
         if self.resume:
-            base_journal.repair()
-            for path in self._existing_shards():
-                Journal(os.path.dirname(path),
-                        os.path.basename(path)).repair()
-        base = base_journal.replay()
-        state = replay_shards(self.directory, base=base)
+            self._journal.repair()
+        state = self._journal.replay()
         if state.n_events and not self.resume:
             raise FleetError(
                 f"{self.directory} already has journaled progress; "
                 "pass resume (CLI: --resume) to continue it"
             )
         self._ledger = LeaseLedger(self.directory)
-        self._next_lease = self._ledger.replay()["max_lease"] + 1
+        ledger = self._ledger.replay()
+        self._next_lease = ledger["max_lease"] + 1
+        for lease_id, grant in sorted(ledger["open"].items()):
+            # died with the last coordinator: close it, crediting its
+            # holder with the lease's indices that reached the journal
+            journaled = {
+                run["index"] for run in state.runs.get(grant["point"], ())
+            }
+            self._ledger.revoked(
+                lease_id, "orphaned",
+                len(journaled.intersection(grant["indices"])),
+            )
 
         self._completed = dict(state.completed)
         for point in self.spec.points():
@@ -210,43 +213,11 @@ class FleetCoordinator:
             if point.id in self._completed:
                 continue
             scheduler = PointScheduler(self.spec, point)
-            self._replay_point(scheduler, state.runs.get(point.id, []))
+            scheduler.replay(state.runs.get(point.id, []))
             self._schedulers[point.id] = scheduler
-        self._coord_journal = self._shard_journal(COORDINATOR_SHARD)
         if state.done:
             self._finished = True
         return state
-
-    def _existing_shards(self):
-        from repro.fleet.merge import list_shards
-
-        return list_shards(self.directory)
-
-    @staticmethod
-    def _replay_point(scheduler, records):
-        """Feed journaled draws back into a fresh scheduler.
-
-        Full batches replay and close; a partially-journaled batch stays
-        in flight with its missing indices pending (they re-lease).
-        """
-        by_index = {r["index"]: r for r in records}
-        while not scheduler.done:
-            if scheduler.next_batch() is None:
-                break
-            missing = [i for i in scheduler.pending() if i not in by_index]
-            for i in list(scheduler.pending()):
-                record = by_index.get(i)
-                if record is not None:
-                    scheduler.record(i, record["metrics"], record["counts"])
-            if missing:
-                break
-
-    def _shard_journal(self, name):
-        journal = self._shards.get(name)
-        if journal is None:
-            journal = Journal(shard_dir(self.directory), f"{name}.jsonl")
-            self._shards[name] = journal
-        return journal
 
     # ------------------------------------------------------------------
     # serving
@@ -256,8 +227,8 @@ class FleetCoordinator:
 
         Binds, writes ``coordinator.json`` (host/port/pid — how workers
         started with ``--dir`` find the socket), serves until every grid
-        point's stopping rule fired, then merges the shard journals and
-        writes the canonical report. Lingers briefly so connected
+        point's stopping rule fired, then rewrites the journal in
+        canonical order and writes the report. Lingers briefly so connected
         workers hear ``shutdown`` instead of a reset connection.
         """
         try:
@@ -268,7 +239,7 @@ class FleetCoordinator:
             self.ready.set()
             raise
         if self._finished:
-            # resuming an already-complete campaign: just (re)merge
+            # resuming an already-complete campaign: just (re)finish
             self._finalize_outputs()
             self.ready.set()
             return self._report
@@ -297,8 +268,7 @@ class FleetCoordinator:
             reaper.cancel()
             server.close()
             await server.wait_closed()
-            for journal in self._shards.values():
-                journal.close()
+            self._journal.close()
             self._ledger.close()
         return self._report
 
@@ -315,10 +285,10 @@ class FleetCoordinator:
         os.replace(tmp, path)
 
     def _finalize_outputs(self):
-        from repro.campaign.report import write_reports
+        from repro.campaign.executor import finish_campaign
 
-        merge_journals(self.directory)
-        self._report = write_reports(self.directory)
+        self._journal.close()
+        self._report = finish_campaign(self.directory)
 
     async def _reap_expired(self):
         interval = max(0.05, self.heartbeat_timeout / 4.0)
@@ -340,9 +310,7 @@ class FleetCoordinator:
         """Return ``name``'s leased indices to their schedulers' pools."""
         for lease_id, lease in list(self._leases.items()):
             if lease["worker"] == name:
-                self._ledger.revoked(lease_id, reason)
-                del self._leases[lease_id]
-                self._unlink_point_lease(lease["point"], lease_id)
+                self._release_lease(lease_id, completed=False, reason=reason)
 
     def _unlink_point_lease(self, point_id, lease_id):
         leases = self._point_leases.get(point_id)
@@ -552,6 +520,7 @@ class FleetCoordinator:
         self._next_lease += 1
         self._leases[lease_id] = {
             "point": point_id, "indices": set(indices), "worker": worker,
+            "draws": 0,  # indices of this lease journaled so far
         }
         self._point_leases.setdefault(point_id, set()).add(lease_id)
         self._worker_point[worker] = point_id
@@ -642,9 +611,9 @@ class FleetCoordinator:
             return
         self._unlink_point_lease(lease["point"], lease_id)
         if completed:
-            self._ledger.completed(lease_id)
+            self._ledger.completed(lease_id, lease["draws"])
         else:
-            self._ledger.revoked(lease_id, reason)
+            self._ledger.revoked(lease_id, reason, lease["draws"])
 
     # ------------------------------------------------------------------
     # results
@@ -660,7 +629,8 @@ class FleetCoordinator:
         )
         if not accepted:
             return  # duplicate from a revoked/stolen lease: exactly-once
-        self._shard_journal(worker).append(entry)
+        self._journal.append(entry)
+        self.journaled += 1
         # the lease holding this index may belong to another worker — a
         # stolen index can be journaled by the victim first; credit the
         # lease that holds it, whoever executed it
@@ -668,6 +638,7 @@ class FleetCoordinator:
             lease = self._leases[lease_id]
             if entry["index"] in lease["indices"]:
                 lease["indices"].discard(entry["index"])
+                lease["draws"] += 1
                 if not lease["indices"]:
                     self._release_lease(lease_id, completed=True)
                 break
@@ -690,7 +661,7 @@ class FleetCoordinator:
         if scheduler is None or point_id in self._completed:
             return
         event = scheduler.completion_event()
-        self._coord_journal.append(event)
+        self._journal.append(event)
         self._completed[point_id] = event
         del self._schedulers[point_id]
         for lease_id in list(self._point_leases.get(point_id, ())):
@@ -712,7 +683,7 @@ class FleetCoordinator:
         if self._finished:
             return
         self._finished = True
-        self._coord_journal.append({"event": "done"})
+        self._journal.append({"event": "done"})
         self._done.set()
         # proactively shut connected workers down; they may be deep in a
         # wait backoff and would otherwise find a closed socket
@@ -762,10 +733,9 @@ class FleetCoordinator:
 
     def status(self):
         """Live status dict (same shape as ``campaign status`` + fleet)."""
-        state = replay_shards(
-            self.directory, base=Journal(self.directory).replay()
+        status = status_from_state(
+            self.spec, Journal(self.directory).replay()
         )
-        status = status_from_state(self.spec, state)
         status["complete"] = self._finished
         now = time.monotonic()
         status["workers"] = {

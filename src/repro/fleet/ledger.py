@@ -1,13 +1,14 @@
 """Lease ledger: append-only record of the coordinator's dispatch state.
 
-The shard journals are the source of truth for *completed* draws; the
+The campaign journal is the source of truth for *completed* draws; the
 ledger records what was *in flight* — which draw indices were leased to
 which worker, and how each lease ended (completed, revoked on heartbeat
-expiry, or orphaned by a coordinator crash). A restarted coordinator
-replays it to continue lease numbering and to log the leases that died
-with it; ``fleet status`` and the fault-path tests read it to audit the
-reassignment story (every revoked lease's indices must reappear under a
-later lease or in the journal).
+expiry, or orphaned by a coordinator crash) with how many of its draws
+were journaled, which is how draws are credited to workers. A restarted
+coordinator replays it to continue lease numbering and to log the leases
+that died with it; ``fleet status`` and the fault-path tests read it to
+audit the reassignment story (every revoked lease's indices must
+reappear under a later lease or in the journal).
 """
 
 import json
@@ -44,11 +45,14 @@ class LeaseLedger:
             "indices": list(indices), "worker": worker,
         })
 
-    def completed(self, lease_id):
-        self.append({"event": "complete", "lease": lease_id})
+    def completed(self, lease_id, draws):
+        self.append({"event": "complete", "lease": lease_id, "draws": draws})
 
-    def revoked(self, lease_id, reason):
-        self.append({"event": "revoke", "lease": lease_id, "reason": reason})
+    def revoked(self, lease_id, reason, draws):
+        self.append({
+            "event": "revoke", "lease": lease_id, "reason": reason,
+            "draws": draws,
+        })
 
     def stolen(self, thief_lease, victim_lease, point_id, indices,
                thief, victim):
@@ -91,9 +95,10 @@ class LeaseLedger:
         "audit": last-counters-or-None}.
 
         ``open`` holds leases with neither a ``complete`` nor a
-        ``revoke`` record — in flight at the last coordinator death.
-        Torn trailing lines are ignored (the ledger is advisory; the
-        shard journals carry the ground truth).
+        ``revoke`` record — in flight at the last coordinator death —
+        with the indices a later ``steal`` moved away dropped from their
+        ``indices``. Torn trailing lines are ignored (the ledger is
+        advisory; the journal carries the ground truth).
         """
         max_lease = 0
         open_leases = {}
@@ -115,6 +120,14 @@ class LeaseLedger:
                     counters = record.get("counters")
                     if isinstance(counters, dict):
                         audit = counters
+                    continue
+                if record.get("event") == "steal":
+                    victim = open_leases.get(record.get("victim_lease"))
+                    if victim is not None:
+                        moved = set(record.get("indices", ()))
+                        victim["indices"] = [
+                            i for i in victim["indices"] if i not in moved
+                        ]
                     continue
                 lease_id = record.get("lease")
                 if not isinstance(lease_id, int):

@@ -12,15 +12,25 @@ worker``), not threads, so the fault-tolerance paths exercised in tests
 — SIGKILL mid-lease, heartbeat expiry — are the same paths a multi-host
 fleet exercises.
 
-**Elastic pools.** With ``max_workers`` set, an :class:`ElasticPool`
-autoscaler polls the coordinator's cheap load signal
+**Worker pools.** Every pool is an :class:`ElasticPool`; a fixed pool of
+``workers`` is one with ``min_workers = max_workers = workers``. The
+pool respawns a crashed worker while it is below its floor, and fails
+the run with :class:`~repro.fleet.coordinator.FleetError` when a worker
+exits with code 2 — the coordinator rejected it (version skew, bad
+name, failed handshake), so a respawn would only be rejected again — or
+when ``CRASH_LIMIT`` workers in a row exit non-zero with no draw
+journaled in between (a worker that cannot start, or that dies on the
+same draw every time), so a crash that repeats is never respawned
+forever.
+
+With ``max_workers`` set, the :class:`ElasticPool` autoscaler polls the
+coordinator's cheap load signal
 (:meth:`~repro.fleet.coordinator.FleetCoordinator.load`, also embedded
 in every ``status`` reply for remote autoscalers) and keeps the local
 pool between ``min_workers`` and ``max_workers``: it spawns a worker
 whenever unleased work exists and nobody is idle, and retires one —
 via the coordinator's drain-then-exit path, so no draw is ever lost —
-once a worker has been idle past a grace period. Crashed workers are
-respawned while the pool is below its floor. Every decision is
+once a worker has been idle past a grace period. Every decision is
 audited as a ``scale`` event in the lease ledger.
 """
 
@@ -29,20 +39,24 @@ import os
 import subprocess
 import sys
 
-from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.coordinator import FleetCoordinator, FleetError
+from repro.fleet.worker import REJECTED_EXIT
 
 #: autoscaler poll cadence and how long a worker may idle before retire
 SCALE_INTERVAL = 0.25
 IDLE_GRACE = 1.0
 
+#: worker crashes in a row, with no draw journaled in between, that
+#: fail the run
+CRASH_LIMIT = 3
 
-def query_status(host, port, timeout=5.0, secret=None, tls_ca=None):
+
+def query_status(host, port, timeout=5.0, tls_ca=None):
     """Ask a live coordinator for its status dict (blocking).
 
     ``status`` asks are answered before the handshake gate — they carry
     no lease and reveal only campaign progress — but when the
     coordinator serves TLS the connection itself needs ``tls_ca``.
-    ``secret`` is accepted for symmetry and future tightening.
     """
     from repro.fleet.protocol import read_message, send_message
     from repro.fleet.security import client_ssl_context
@@ -68,25 +82,18 @@ def query_status(host, port, timeout=5.0, secret=None, tls_ca=None):
 
 
 def offline_status(directory):
-    """Status of a fleet directory from its journals (no coordinator).
+    """Status of a fleet directory from its files (no coordinator).
 
-    Folds the merged journal (if any) with the shard journals, so it is
-    correct for a live-but-unreachable, killed, or finished fleet — the
-    same ``campaign status`` shape, fed by :func:`replay_shards`. The
-    coordinator's last persisted security audit counters ride along
-    under ``"audit"`` (``None`` when the ledger never recorded any),
-    matching the live :meth:`~repro.fleet.coordinator.FleetCoordinator.
-    status` shape.
+    ``campaign status`` of the directory's journal, so it is correct for
+    a live-but-unreachable, killed, or finished fleet. The coordinator's
+    last persisted security audit counters ride along under ``"audit"``
+    (``None`` when the ledger never recorded any), matching the live
+    :meth:`~repro.fleet.coordinator.FleetCoordinator.status` shape.
     """
-    from repro.campaign.journal import Journal, read_manifest
-    from repro.campaign.plan import CampaignSpec
-    from repro.campaign.status import status_from_state
+    from repro.campaign.status import build_status
     from repro.fleet.ledger import LeaseLedger
-    from repro.fleet.merge import replay_shards
 
-    spec = CampaignSpec.from_dict(read_manifest(directory)["spec"])
-    state = replay_shards(directory, base=Journal(directory).replay())
-    status = status_from_state(spec, state)
+    status = build_status(directory)
     status["audit"] = LeaseLedger(directory).replay()["audit"]
     return status
 
@@ -232,6 +239,8 @@ class ElasticPool:
         self.procs = {}  # name -> Popen
         self.retired = set()  # names drained on purpose
         self.spawned = 0  # lifetime spawn count (also names workers)
+        self.crashes = 0  # non-zero exits since the last journaled draw
+        self._journaled = 0  # coordinator's draw count at the last crash
 
     def spawn(self, reason):
         name = f"{self.name_prefix}{self.spawned}"
@@ -254,8 +263,27 @@ class ElasticPool:
 
     def _reap_exited(self):
         for name, proc in list(self.procs.items()):
-            if proc.poll() is not None:
-                del self.procs[name]
+            code = proc.poll()
+            if code is None:
+                continue
+            del self.procs[name]
+            if code == REJECTED_EXIT:
+                raise FleetError(
+                    f"worker {name} exited with code {code}: the "
+                    "coordinator rejected it (see its output above)"
+                )
+            if code == 0:
+                continue
+            if self.coordinator.journaled != self._journaled:
+                self._journaled = self.coordinator.journaled
+                self.crashes = 0
+            self.crashes += 1
+            if self.crashes >= CRASH_LIMIT:
+                raise FleetError(
+                    f"worker {name} exited with code {code}; "
+                    f"{self.crashes} workers crashed in a row with no "
+                    "draw journaled in between (see their output above)"
+                )
 
     async def run(self):
         """Poll the load signal and scale until the campaign finishes."""
@@ -301,35 +329,31 @@ def fleet_run(directory, spec=None, workers=2, host="127.0.0.1", port=0,
     in-process coordinator owns leasing, journaling, and stopping. The
     campaign directory afterwards contains the same canonical
     ``journal.jsonl`` / ``report.json`` a single-pool run writes, plus
-    ``shards/`` and ``leases.jsonl`` for audit.
+    ``leases.jsonl`` for audit.
 
     Setting ``min_workers``/``max_workers`` makes the pool elastic:
     ``workers`` (clamped into the band) is only the starting size, and
-    an :class:`ElasticPool` grows or drains the pool against the
+    the :class:`ElasticPool` grows or drains the pool against the
     coordinator's live load signal. ``secret`` turns on the shared-
     secret handshake (exported to worker subprocesses via the
     environment, never argv); ``tls_cert``/``tls_key`` wrap the local
     sockets in TLS, with workers pinning ``tls_ca`` (defaulting to the
     coordinator certificate itself — the self-signed case).
+
+    Raises :class:`~repro.fleet.coordinator.FleetError` when a worker is
+    rejected by the coordinator (exit code 2), e.g. for version skew, or
+    when ``CRASH_LIMIT`` workers in a row crash without progress.
     """
     workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    elastic = min_workers is not None or max_workers is not None
-    if elastic:
+    if min_workers is None and max_workers is None:
+        low = high = workers
+    else:
         low = 1 if min_workers is None else int(min_workers)
         high = workers if max_workers is None else int(max_workers)
-        if low < 1:
-            raise ValueError(f"min_workers must be >= 1, got {low}")
-        if low > high:
-            raise ValueError(
-                f"min_workers ({low}) must be <= max_workers ({high})"
-            )
         workers = min(max(workers, low), high)
-    worker_tls_ca = tls_ca or tls_cert
     spawn_kwargs = dict(
         cache=cache, cache_dir=cache_dir, snapshots=snapshots,
-        snapshot_dir=snapshot_dir, tls_ca=worker_tls_ca,
+        snapshot_dir=snapshot_dir, tls_ca=tls_ca or tls_cert,
         reconnect_attempts=reconnect_attempts,
         reconnect_delay=reconnect_delay,
         reconnect_max_delay=reconnect_max_delay,
@@ -343,35 +367,31 @@ def fleet_run(directory, spec=None, workers=2, host="127.0.0.1", port=0,
             linger=linger, secret=secret, tls_cert=tls_cert,
             tls_key=tls_key, steal=steal,
         )
+        pool = ElasticPool(
+            coordinator, low, high, spawn_kwargs=spawn_kwargs, secret=secret,
+        )
         serve_task = asyncio.create_task(coordinator.serve())
         await coordinator.ready.wait()
-        procs = []
-        scale_task = None
-        pool = None
-        if not serve_task.done():  # already-complete campaigns skip workers
-            if elastic:
-                pool = ElasticPool(
-                    coordinator, low, high, spawn_kwargs=spawn_kwargs,
-                    secret=secret,
-                )
-                pool.start(workers)
-                scale_task = asyncio.create_task(pool.run())
-            else:
-                procs = [
-                    spawn_worker(
-                        coordinator.host, coordinator.port, f"worker{i}",
-                        secret=secret, **spawn_kwargs
-                    )
-                    for i in range(workers)
-                ]
+        if serve_task.done():  # already-complete campaigns skip workers
+            return await serve_task
+        pool.start(workers)
+        scale_task = asyncio.create_task(pool.run())
+        grace = 10.0
         try:
-            report = await serve_task
+            await asyncio.wait(
+                {serve_task, scale_task},
+                return_when=asyncio.FIRST_EXCEPTION,
+            )
+            if not serve_task.done():
+                # the pool failed (a rejected worker): stop serving
+                grace = 0.0
+                serve_task.cancel()
+                scale_task.result()
+            return await serve_task
         finally:
-            if scale_task is not None:
-                scale_task.cancel()
-            if pool is not None:
-                procs = list(pool.procs.values())
-            await asyncio.to_thread(reap_workers, procs)
-        return report
+            scale_task.cancel()
+            await asyncio.to_thread(
+                reap_workers, list(pool.procs.values()), grace
+            )
 
     return asyncio.run(_main())

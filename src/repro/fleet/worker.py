@@ -10,11 +10,11 @@ draw runs through the single-pool executor's own draw path
 parallel.run_many`): the first draw of a leased point warms its pipeline
 snapshot once, and the draws of a lease advance together through the
 lockstep batch engine. Completed draws are streamed back as verbatim
-journal ``run`` events — the coordinator appends them to this worker's
-shard journal — and a :class:`~repro.verify.bundle.
-RunFailure` draw turns into a ``failure`` message carrying the failure
-record (its repro bundle stays on the worker's filesystem at the path
-the record names).
+journal ``run`` events — the coordinator appends them to the campaign's
+``journal.jsonl`` — and a :class:`~repro.verify.bundle.RunFailure`
+draw turns into a ``failure`` message carrying the failure record (its
+repro bundle stays on the worker's filesystem at the path the record
+names).
 
 A heartbeat task keeps the lease alive during long draws; if the worker
 dies instead, the coordinator re-leases its unfinished indices and the
@@ -53,6 +53,10 @@ from repro.harness.parallel import ResultCache, run_many
 DEFAULT_RECONNECT_ATTEMPTS = 5
 DEFAULT_RECONNECT_DELAY = 0.5
 DEFAULT_RECONNECT_MAX_DELAY = 8.0
+
+#: exit code of a worker the coordinator rejected; a respawn would be
+#: rejected again, so a local pool fails the run on it
+REJECTED_EXIT = 2
 
 
 class WorkerError(RuntimeError):
@@ -117,7 +121,7 @@ class FleetWorker:
             except WorkerError as exc:
                 print(f"[fleet-worker {self.name}] rejected: {exc}",
                       flush=True)
-                return 2
+                return REJECTED_EXIT
             except (ConnectionError, ProtocolError, OSError) as exc:
                 if self.draws_done > draws_before:
                     attempts = 0

@@ -903,9 +903,10 @@ def _fleet_parser():
         prog="repro-timing fleet",
         description=(
             "Distributed campaigns: a coordinator leases seed draws to "
-            "workers over TCP, streams their journal entries into "
-            "per-worker shards, and merges a journal/report "
-            "byte-identical to a single-pool 'campaign run'. See "
+            "workers over TCP and journals their draws into one "
+            "journal.jsonl; journal and report are byte-identical to a "
+            "single-pool 'campaign run', which can also resume a killed "
+            "fleet directory. See "
             "docs/campaigns.md ('Running on a fleet')."
         ),
     )
@@ -937,8 +938,8 @@ def _fleet_parser():
                         help="campaign directory to read the coordinator "
                              "endpoint from (alternative to --connect)")
     worker.add_argument("--name", default=None,
-                        help="worker name (shard journal name; default "
-                             "<hostname>-<pid>)")
+                        help="worker name (in the lease ledger and "
+                             "status; default <hostname>-<pid>)")
     _add_fleet_cache_options(worker)
     _add_fleet_security_options(worker, server=False)
     worker.add_argument("--reconnect-attempts", type=int, default=None,
@@ -986,7 +987,7 @@ def _fleet_parser():
     )
     status.add_argument("--dir", default=None,
                         help="campaign directory (live query via its "
-                             "coordinator.json when possible, shard "
+                             "coordinator.json when possible, journal "
                              "replay otherwise)")
     status.add_argument("--connect", default=None, metavar="HOST:PORT",
                         help="ask a live coordinator directly")

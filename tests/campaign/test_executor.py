@@ -21,7 +21,7 @@ from repro.campaign.executor import (
     make_run_fn,
     run_campaign,
 )
-from repro.campaign.journal import Journal
+from repro.campaign.journal import Journal, write_manifest
 from repro.campaign.plan import CampaignSpec
 from repro.harness.parallel import run_many
 
@@ -181,6 +181,72 @@ class _FakeSim:
                     committed=spec.n_instructions,
                 ))
         return results
+
+
+class _SeedRecorder(_FakeSim):
+    """_FakeSim that also records the draw seed of every scheme run."""
+
+    def __init__(self):
+        super().__init__()
+        self.seeds = []
+
+    def __call__(self, specs):
+        from repro.core.schemes import SchemeKind
+
+        self.seeds += [
+            s.measurement_seed for s in specs
+            if s.scheme is not SchemeKind.FAULT_FREE
+        ]
+        return super().__call__(specs)
+
+
+class TestResumeMidBatch:
+    """Resume continues a cut or gapped journal at its batch boundaries."""
+
+    def _spec(self):
+        return CampaignSpec(
+            name="mid-batch", benchmarks=["astar"], schemes=["ABS"],
+            vdds=[0.97], n_instructions=2000, warmup=0, min_seeds=2,
+            max_seeds=30, batch_size=3, targets={"perf_overhead": 0.001},
+        )
+
+    def _straight(self, tmp_path):
+        straight = tmp_path / "straight"
+        run_campaign(straight, spec=self._spec(), run_fn=_FakeSim())
+        lines = (straight / "journal.jsonl").read_text().splitlines()
+        runs = [line for line in lines if '"event": "run"' in line]
+        assert len(runs) == 24  # the stopping rule fires at n=24
+        return straight, runs
+
+    def _assert_same_bytes(self, a, b):
+        for name in ("journal.jsonl", "report.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_journal_cut_mid_batch_resumes_byte_identical(self, tmp_path):
+        straight, runs = self._straight(tmp_path)
+        cut = tmp_path / "cut"
+        write_manifest(cut, self._spec())
+        # killed after 4 draws: batch [3, 4, 5] is one draw in
+        (cut / "journal.jsonl").write_text("\n".join(runs[:4]) + "\n")
+        sim = _FakeSim()
+        run_campaign(cut, resume=True, run_fn=sim)
+        assert sim.pairs_run == 24 - 4
+        self._assert_same_bytes(straight, cut)
+
+    def test_fleet_journal_with_gap_resumes_byte_identical(self, tmp_path):
+        straight, runs = self._straight(tmp_path)
+        fleet = tmp_path / "fleet"
+        write_manifest(fleet, self._spec())
+        # arrival order of a killed fleet: batch [0, 1, 2] complete but
+        # out of order, batch [3, 4, 5] in flight with index 4 missing
+        kept = [runs[2], runs[0], runs[5], runs[1], runs[3]]
+        (fleet / "journal.jsonl").write_text("\n".join(kept) + "\n")
+        sim = _SeedRecorder()
+        run_campaign(fleet, resume=True, run_fn=sim)
+        journaled = {json.loads(line)["seed"] for line in kept}
+        assert len(sim.seeds) == len(set(sim.seeds)) == 24 - 5
+        assert not journaled & set(sim.seeds)
+        self._assert_same_bytes(straight, fleet)
 
 
 class TestConfidenceStopping:

@@ -184,3 +184,123 @@ class TestRepair:
         state = Journal(tmp_path).replay()
         assert state.done
         assert state.n_torn == 0
+
+
+def _point_event(point, n=2):
+    return {"event": "point", "point": point, "n": n, "stopped": "ci",
+            "summary": {"mean": 0.15}}
+
+
+def _two_point_spec():
+    return CampaignSpec(
+        name="m", benchmarks=["astar"], schemes=["EP", "ABS"],
+        n_instructions=500, warmup=250, min_seeds=2, max_seeds=2,
+        batch_size=2,
+    )
+
+
+def _append(directory, events):
+    with Journal(directory) as journal:
+        for event in events:
+            journal.append(event)
+
+
+class TestJournalFold:
+    """One fold for every reader: a fleet's arrival-order journal."""
+
+    def test_duplicate_draws_deduplicated(self, tmp_path):
+        # a reassigned lease re-executed draws 1 and 0
+        _append(tmp_path, [_run_event("p", 0), _run_event("p", 1),
+                           _run_event("p", 1), _run_event("p", 0)])
+        state = Journal(tmp_path).replay()
+        assert [r["index"] for r in state.runs["p"]] == [0, 1]
+        assert state.total_runs == 2
+
+    def test_runs_sorted_by_index(self, tmp_path):
+        _append(tmp_path, [_run_event("p", i) for i in (2, 0, 1)])
+        state = Journal(tmp_path).replay()
+        assert [r["index"] for r in state.runs["p"]] == [0, 1, 2]
+
+    def test_first_copy_wins_dedup(self, tmp_path):
+        first = _run_event("p", 0)
+        first["seed"] = 42  # distinguishable from the later copy
+        _append(tmp_path, [first, _run_event("p", 0), _run_event("p", 1)])
+        state = Journal(tmp_path).replay()
+        assert state.runs["p"][0]["seed"] == 42
+        assert state.total_runs == 2
+
+    def test_first_point_event_wins(self, tmp_path):
+        _append(tmp_path, [_point_event("p", n=2), _point_event("p", n=9)])
+        assert Journal(tmp_path).replay().completed["p"]["n"] == 2
+
+    def test_fold_reports_whether_state_changed(self):
+        from repro.campaign.journal import JournalState
+
+        state = JournalState()
+        assert state.fold(_run_event("p", 0))
+        assert not state.fold(_run_event("p", 0))
+        assert state.fold({"event": "done"})
+        assert not state.fold({"event": "done"})
+        assert not state.fold({"event": "unknown"})
+        assert state.n_events == 2
+
+    def test_done_marker_survives(self, tmp_path):
+        _append(tmp_path, [{"event": "done"}, _run_event("p", 0)])
+        assert Journal(tmp_path).replay().done
+
+
+class TestRewrite:
+    """The finish step's canonical rewrite of an arrival-order journal."""
+
+    def test_rewrite_matches_single_pool_bytes(self, tmp_path):
+        spec = _two_point_spec()
+        points = [p.id for p in spec.points()]
+        pool = tmp_path / "pool"
+        _append(pool, [
+            event for point in points
+            for event in (_run_event(point, 0), _run_event(point, 1),
+                          _point_event(point))
+        ] + [{"event": "done"}])
+
+        fleet = tmp_path / "fleet"
+        # interleaved arrival order across two workers + a duplicate
+        _append(fleet, [
+            _run_event(points[0], 1), _run_event(points[1], 1),
+            _run_event(points[1], 0), _point_event(points[1]),
+            _run_event(points[0], 0), _run_event(points[0], 1),
+            _point_event(points[0]), {"event": "done"},
+        ])
+        journal = Journal(fleet)
+        journal.rewrite(spec, journal.replay())
+        assert (fleet / "journal.jsonl").read_bytes() == (
+            (pool / "journal.jsonl").read_bytes()
+        )
+
+    def test_rewrite_is_idempotent(self, tmp_path):
+        spec = _two_point_spec()
+        _append(tmp_path, [_run_event(spec.points()[0].id, 0)])
+        journal = Journal(tmp_path)
+        journal.rewrite(spec, journal.replay())
+        first = (tmp_path / "journal.jsonl").read_bytes()
+        journal.rewrite(spec, journal.replay())
+        assert (tmp_path / "journal.jsonl").read_bytes() == first
+
+    def test_rewrite_atomic_no_temp_left(self, tmp_path):
+        spec = _two_point_spec()
+        _append(tmp_path, [_run_event(spec.points()[0].id, 0)])
+        journal = Journal(tmp_path)
+        journal.rewrite(spec, journal.replay())
+        assert [n for n in os.listdir(tmp_path) if ".tmp." in n] == []
+
+    def test_append_after_rewrite_lands_in_new_file(self, tmp_path):
+        spec = _two_point_spec()
+        point = spec.points()[0].id
+        with Journal(tmp_path) as journal:
+            journal.append(_run_event(point, 1))
+            journal.append(_run_event(point, 0))
+            journal.rewrite(spec, journal.replay())
+            journal.append({"event": "done"})
+        lines = (tmp_path / "journal.jsonl").read_text().splitlines()
+        assert [json.loads(line).get("index") for line in lines] == (
+            [0, 1, None]
+        )

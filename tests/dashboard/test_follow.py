@@ -58,7 +58,7 @@ class TestFollow:
         write_manifest(tmp_path, spec)
         ledger = LeaseLedger(tmp_path)
         ledger.granted(1, "p", [0], "w1")
-        ledger.completed(1)
+        ledger.completed(1, 1)
         ledger.audited({"auth_failures": 4})
         out = io.StringIO()
         follow_status(tmp_path, fleet=True, interval=0.01, max_updates=1,

@@ -10,7 +10,6 @@ from repro.campaign.report import build_report
 from repro.campaign.status import build_status
 from repro.dashboard.view import CampaignView
 from repro.fleet.ledger import LeaseLedger
-from repro.fleet.merge import shard_path
 
 _FAST = dict(n_instructions=500, warmup=250)
 
@@ -92,7 +91,7 @@ class TestByteIdentity:
             journal.append(_run(point, 1))
         view.refresh()
         before = _dump(view.report())
-        # merge_journals-style atomic replace: same records, new inode
+        # Journal.rewrite-style atomic replace: same records, new inode
         path = os.path.join(tmp_path, "journal.jsonl")
         tmp = path + ".merge"
         with open(path) as src, open(tmp, "w") as dst:
@@ -101,8 +100,8 @@ class TestByteIdentity:
         assert view.refresh() == 0  # re-emitted records all deduped
         assert _dump(view.report()) == before
 
-    def test_shard_records_fold_like_a_merged_journal(self, tmp_path):
-        """Draws arriving via shards == the same draws in the journal."""
+    def test_arrival_order_folds_like_a_canonical_journal(self, tmp_path):
+        """Draws in fleet arrival order == the same draws in index order."""
         spec = _spec()
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -113,31 +112,25 @@ class TestByteIdentity:
         with Journal(a) as journal:
             journal.append(_run(point, 0))
             journal.append(_run(point, 1, overhead=0.3))
-        # directory b: same draws, interleaved across two shards, out
-        # of index order
-        os.makedirs(b / "shards")
-        with open(shard_path(b, "w2"), "w") as fh:
-            fh.write(_dump(_run(point, 1, overhead=0.3)) + "\n")
-        with open(shard_path(b, "w1"), "w") as fh:
-            fh.write(_dump(_run(point, 0)) + "\n")
+        # directory b: same draws, out of index order (two workers
+        # finishing in the other order)
+        with Journal(b) as journal:
+            journal.append(_run(point, 1, overhead=0.3))
+            journal.append(_run(point, 0))
         view_a = CampaignView(a)
         view_b = CampaignView(b)
         view_a.refresh()
         view_b.refresh()
         assert _dump(view_a.report()) == _dump(view_b.report())
 
-    def test_duplicate_draw_across_journal_and_shard_deduped(
-        self, tmp_path
-    ):
+    def test_duplicate_draw_in_journal_deduped(self, tmp_path):
         """First occurrence wins — the fleet's exactly-once rule."""
         spec = _spec()
         write_manifest(tmp_path, spec)
         point = spec.points()[0].id
         with Journal(tmp_path) as journal:
             journal.append(_run(point, 0, overhead=0.1))
-        os.makedirs(tmp_path / "shards")
-        with open(shard_path(tmp_path, "w"), "w") as fh:
-            fh.write(_dump(_run(point, 0, overhead=9.9)) + "\n")
+            journal.append(_run(point, 0, overhead=9.9))
         view = CampaignView(tmp_path)
         view.refresh()
         runs = view.state.runs[point]
@@ -152,9 +145,9 @@ class TestFleetFolding:
         ledger = LeaseLedger(tmp_path)
         ledger.granted(1, "p", [0, 1], "w1")
         ledger.granted(2, "p", [2, 3], "w2")
-        ledger.completed(1)
+        ledger.completed(1, 2)
         ledger.stolen(3, 2, "p", [3], "w1", "w2")
-        ledger.revoked(2, "heartbeat-expired")
+        ledger.revoked(2, "heartbeat-expired", 1)
         ledger.scaled("spawn", "w3", "queue-depth")
         ledger.audited({"auth_failures": 2, "steals": 1})
         view = CampaignView(tmp_path)
@@ -170,6 +163,39 @@ class TestFleetFolding:
         assert [s["action"] for s in fleet["scale_events"]] == ["spawn"]
         assert fleet["audit"] == {"auth_failures": 2, "steals": 1}
         assert fleet["open_leases"] == []
+        assert fleet["workers"]["w1"]["draws"] == 2
+        assert fleet["workers"]["w2"]["draws"] == 1
+
+    def test_lease_draws_credited_to_lease_holder(self, tmp_path):
+        """Per-worker draws come from the ledger, not from the journal.
+
+        A stolen index counts for the lease that held it when it was
+        journaled — whoever executed it — and a revoked lease keeps the
+        draws it journaled before it died.
+        """
+        spec = _spec()
+        write_manifest(tmp_path, spec)
+        point = spec.points()[0].id
+        with Journal(tmp_path) as journal:
+            for index in range(4):
+                journal.append(_run(point, index))
+        ledger = LeaseLedger(tmp_path)
+        ledger.granted(1, point, [0, 1], "w1")
+        ledger.granted(2, point, [2, 3], "w2")
+        ledger.completed(1, 2)
+        # the coordinator grants the thief's lease, then audits the steal
+        ledger.granted(3, point, [3], "w1")
+        ledger.stolen(3, 2, point, [3], "w1", "w2")
+        ledger.revoked(2, "disconnected", 1)
+        ledger.completed(3, 1)
+        view = CampaignView(tmp_path)
+        view.refresh()
+        workers = view.fleet_status()["workers"]
+        assert workers["w1"]["draws"] == 3
+        assert workers["w2"]["draws"] == 1
+        assert sum(w["draws"] for w in workers.values()) == (
+            view.status()["runs_total"]
+        )
 
     def test_version_bumps_only_on_change(self, tmp_path):
         spec = _spec()

@@ -7,12 +7,10 @@ from repro.campaign.journal import JOURNAL_NAME, Journal, write_manifest
 from repro.dashboard.watcher import (
     SOURCE_JOURNAL,
     SOURCE_LEDGER,
-    SOURCE_SHARD,
     JournalWatcher,
     TailedFile,
 )
-from repro.fleet.ledger import LeaseLedger
-from repro.fleet.merge import shard_dir, shard_path
+from repro.fleet.ledger import LEDGER_NAME, LeaseLedger
 
 
 def _write(path, text, mode="a"):
@@ -67,7 +65,7 @@ class TestTailedFile:
             assert first + second == [record], f"split at byte {cut}"
 
     def test_rotation_new_inode_rereads_from_zero(self, tmp_path):
-        """An atomic os.replace (merge_journals) re-emits the new file."""
+        """An atomic os.replace (Journal.rewrite) re-emits the new file."""
         path = tmp_path / "j.jsonl"
         tail = TailedFile(str(path), SOURCE_JOURNAL)
         _write(path, _line({"index": 0}))
@@ -107,51 +105,27 @@ class TestTailedFile:
 
 class TestJournalWatcher:
     def test_sources_are_tagged_and_ordered(self, tmp_path):
-        Journal(tmp_path).append({"event": "run", "index": 0})
-        shards = shard_dir(tmp_path)
-        os.makedirs(shards)
-        _write(shard_path(tmp_path, "w1"), _line({"event": "run",
-                                                  "index": 1}))
         LeaseLedger(tmp_path).granted(1, "p", [0], "w1")
+        Journal(tmp_path).append({"event": "run", "index": 0})
         watcher = JournalWatcher(tmp_path)
         out = watcher.poll()
-        assert [(s, sh) for s, sh, _ in out] == [
-            (SOURCE_JOURNAL, None), (SOURCE_SHARD, "w1"),
-            (SOURCE_LEDGER, None),
+        assert [source for source, _ in out] == [
+            SOURCE_JOURNAL, SOURCE_LEDGER,
         ]
         assert watcher.poll() == []
 
-    def test_shard_appearing_after_watch_start(self, tmp_path):
+    def test_ledger_appearing_after_watch_start(self, tmp_path):
         watcher = JournalWatcher(tmp_path)
         assert watcher.poll() == []  # nothing exists yet
-        os.makedirs(shard_dir(tmp_path))
-        _write(shard_path(tmp_path, "late"), _line({"index": 4}))
+        LeaseLedger(tmp_path).granted(4, "p", [0], "late")
         out = watcher.poll()
-        assert out == [(SOURCE_SHARD, "late", {"index": 4})]
-
-    def test_multiple_shards_sorted_by_name(self, tmp_path):
-        os.makedirs(shard_dir(tmp_path))
-        for name in ("zeta", "alpha"):
-            _write(shard_path(tmp_path, name), _line({"w": name}))
-        out = JournalWatcher(tmp_path).poll()
-        assert [sh for _, sh, _ in out] == ["alpha", "zeta"]
-
-    def test_non_jsonl_files_in_shard_dir_ignored(self, tmp_path):
-        os.makedirs(shard_dir(tmp_path))
-        _write(shard_dir(tmp_path) + "/README.txt", "hi\n")
-        assert JournalWatcher(tmp_path).poll() == []
-
-    def test_opt_outs(self, tmp_path):
-        os.makedirs(shard_dir(tmp_path))
-        _write(shard_path(tmp_path, "w"), _line({"x": 1}))
-        LeaseLedger(tmp_path).granted(1, "p", [0], "w")
-        watcher = JournalWatcher(tmp_path, ledger=False, shards=False)
-        assert watcher.poll() == []
+        assert [(s, r["worker"]) for s, r in out] == [
+            (SOURCE_LEDGER, "late"),
+        ]
 
     def test_n_bad_sums_all_files(self, tmp_path):
         _write(tmp_path / JOURNAL_NAME, "garbage\n")
-        os.makedirs(shard_dir(tmp_path))
-        _write(shard_path(tmp_path, "w"), "also garbage\n")
+        _write(tmp_path / LEDGER_NAME, "also garbage\n")
         watcher = JournalWatcher(tmp_path)
         watcher.poll()
         assert watcher.n_bad == 2
@@ -171,4 +145,4 @@ class TestAgainstRealWriters:
                 journal.append({"event": "run", "point": "p",
                                 "index": index})
                 out = watcher.poll()
-                assert [r["index"] for _, _, r in out] == [index]
+                assert [r["index"] for _, r in out] == [index]

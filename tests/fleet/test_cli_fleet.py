@@ -4,7 +4,6 @@ import json
 
 from repro.campaign.journal import Journal, write_manifest
 from repro.campaign.plan import CampaignSpec
-from repro.fleet.merge import shard_dir
 from repro.harness.cli import main
 
 _FAST = [
@@ -129,7 +128,8 @@ class TestValidation:
         assert "--min-workers must be >= 1" in _err(capsys)
 
 
-def _sharded_campaign(directory):
+def _killed_fleet_campaign(directory):
+    """A fleet directory whose coordinator died after one draw."""
     spec = CampaignSpec(
         name="cli-fleet", benchmarks=["astar"], schemes=["EP"],
         n_instructions=500, warmup=250, min_seeds=2, max_seeds=2,
@@ -137,8 +137,7 @@ def _sharded_campaign(directory):
     )
     write_manifest(directory, spec)
     point = spec.points()[0].id
-    journal = Journal(shard_dir(directory), "w0.jsonl")
-    with journal:
+    with Journal(directory) as journal:
         journal.append({
             "event": "run", "point": point, "index": 0, "seed": 1,
             "metrics": {"perf_overhead": 0.1, "ed_overhead": 0.2,
@@ -150,15 +149,16 @@ def _sharded_campaign(directory):
 
 
 class TestStatus:
-    def test_offline_status_from_shards(self, tmp_path, capsys):
-        _sharded_campaign(tmp_path)
+    def test_offline_status_from_killed_fleet_journal(self, tmp_path,
+                                                      capsys):
+        _killed_fleet_campaign(tmp_path)
         assert main(["fleet", "status", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "0/1 points done" in out
         assert "sampling" in out
 
     def test_offline_status_json(self, tmp_path, capsys):
-        _sharded_campaign(tmp_path)
+        _killed_fleet_campaign(tmp_path)
         assert main(
             ["fleet", "status", "--dir", str(tmp_path), "--json"]
         ) == 0
@@ -171,7 +171,7 @@ class TestStatus:
         """Persisted security audit counters ride `fleet status --json`."""
         from repro.fleet.ledger import LeaseLedger
 
-        _sharded_campaign(tmp_path)
+        _killed_fleet_campaign(tmp_path)
         LeaseLedger(tmp_path).audited({
             "auth_failures": 3, "rejected_hellos": 4,
             "rejected_versions": 1, "protocol_errors": 2, "steals": 0,
@@ -186,7 +186,7 @@ class TestStatus:
     def test_offline_status_text_renders_audit(self, tmp_path, capsys):
         from repro.fleet.ledger import LeaseLedger
 
-        _sharded_campaign(tmp_path)
+        _killed_fleet_campaign(tmp_path)
         LeaseLedger(tmp_path).audited({"auth_failures": 3})
         assert main(["fleet", "status", "--dir", str(tmp_path)]) == 0
         assert "audit: auth_failures=3" in capsys.readouterr().out
@@ -194,7 +194,7 @@ class TestStatus:
     def test_offline_status_audit_none_without_ledger_records(
         self, tmp_path, capsys
     ):
-        _sharded_campaign(tmp_path)
+        _killed_fleet_campaign(tmp_path)
         assert main(
             ["fleet", "status", "--dir", str(tmp_path), "--json"]
         ) == 0
@@ -227,7 +227,8 @@ class TestFleetRunCli:
         assert "1/1 points" in out
         report = json.load(open(tmp_path / "report.json"))
         assert report["complete"]
-        assert (tmp_path / "shards").is_dir()
+        assert (tmp_path / "leases.jsonl").is_file()
+        assert not (tmp_path / "shards").exists()
 
     def test_run_with_secret_file(self, tmp_path, capsys):
         # the secret reaches worker subprocesses via the environment

@@ -9,7 +9,6 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.plan import CampaignSpec
 from repro.fleet import FleetWorker, fleet_run
 from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.merge import shard_path
 from repro.fleet.service import ElasticPool, fleet_run as _fleet_run
 from repro.fleet.service import scale_decision
 
@@ -142,8 +141,15 @@ class TestDrainThenExit:
         assert finisher_code == 0
         # the drained worker journaled its whole in-flight lease — a
         # scale-down loses zero draws
-        lines = open(shard_path(fleet, "retiree")).read().splitlines()
-        assert len(lines) == 2
+        events = [json.loads(line) for line in open(fleet / "leases.jsonl")]
+        retiree_leases = {
+            e["lease"] for e in events
+            if e["event"] == "lease" and e["worker"] == "retiree"
+        }
+        assert [
+            e["draws"] for e in events
+            if e["event"] == "complete" and e["lease"] in retiree_leases
+        ] == [2]
         assert (fleet / "journal.jsonl").read_bytes() == (
             tmp_path / "pool" / "journal.jsonl"
         ).read_bytes()

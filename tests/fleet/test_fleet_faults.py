@@ -1,7 +1,7 @@
 """Fault paths: worker SIGKILL, heartbeat expiry, coordinator restart.
 
 These run real coordinator/worker processes over localhost TCP and then
-hold the merged journal to the acceptance bar: zero lost draws, zero
+hold the finished journal to the acceptance bar: zero lost draws, zero
 duplicated draws, bytes identical to a single-pool run of the same spec.
 """
 
@@ -10,10 +10,12 @@ import json
 import signal
 
 from repro.campaign.executor import run_campaign
+from repro.campaign.journal import Journal, write_manifest
 from repro.campaign.plan import CampaignSpec
 from repro.fleet import FleetWorker, fleet_run
+from repro.dashboard import CampaignView
 from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.merge import shard_path
+from repro.fleet.ledger import LeaseLedger
 from repro.fleet.protocol import read_message, send_message
 from repro.fleet.service import reap_workers, spawn_worker
 
@@ -56,7 +58,7 @@ def _ledger_events(directory):
 
 
 def _journal_draws(directory):
-    """(point, index) of every run event in the merged journal, in order."""
+    """(point, index) of every run event in the journal, in order."""
     draws = []
     with open(f"{directory}/journal.jsonl") as fh:
         for line in fh:
@@ -86,7 +88,7 @@ class TestWorkerDeath:
                 coordinator.host, coordinator.port, "victim",
                 cache=False, snapshots=False, throttle=0.3,
             )
-            await _await_journal_lines(shard_path(fleet, "victim"), 1)
+            await _await_journal_lines(fleet / "journal.jsonl", 1)
             victim.send_signal(signal.SIGKILL)
             victim.wait()
             rescuer = spawn_worker(
@@ -171,42 +173,50 @@ class TestHeartbeatExpiry:
         ]
         assert expiries, "silence past the timeout must revoke the lease"
         # every draw came from the diligent worker's re-lease; the silent
-        # worker never contributed an entry, so it never got a shard
-        import os
+        # worker's leases ended with nothing journaled
+        view = CampaignView(fleet)
+        view.refresh()
+        workers = view.fleet_status()["workers"]
+        assert workers["sloth"]["draws"] == 0
+        assert workers["diligent"]["draws"] == len(_journal_draws(fleet))
+        assert len(_journal_draws(fleet)) == 4
 
-        assert not os.path.exists(shard_path(fleet, "sloth"))
-        assert os.path.exists(shard_path(fleet, "diligent"))
+
+def _crash_mid_campaign(fleet):
+    """Serve ``fleet`` until 2 of 4 draws are journaled, then die."""
+
+    async def go():
+        coordinator = FleetCoordinator(
+            fleet, spec=_spec(batch_size=2), heartbeat_timeout=10.0,
+            linger=0.2, cache=False, snapshots=False,
+        )
+        serve = asyncio.create_task(coordinator.serve())
+        await coordinator.ready.wait()
+        worker = spawn_worker(
+            coordinator.host, coordinator.port, "w0",
+            cache=False, snapshots=False,
+        )
+        # let the first batch (2 of 4 draws) land, then "crash":
+        # cancel the serve task without any graceful finalization
+        await _await_journal_lines(fleet / "journal.jsonl", 2)
+        serve.cancel()
+        try:
+            await serve
+        except asyncio.CancelledError:
+            pass
+        worker.terminate()
+        worker.wait()
+
+    asyncio.run(go())
+    state = Journal(fleet).replay()  # died before the finish step
+    assert state.total_runs >= 2 and not state.done
 
 
 class TestCoordinatorRestart:
     def test_resume_after_coordinator_crash(self, tmp_path):
         _single_pool(tmp_path / "pool", batch_size=2)
         fleet = tmp_path / "fleet"
-
-        async def crash_mid_campaign():
-            coordinator = FleetCoordinator(
-                fleet, spec=_spec(batch_size=2), heartbeat_timeout=10.0,
-                linger=0.2, cache=False, snapshots=False,
-            )
-            serve = asyncio.create_task(coordinator.serve())
-            await coordinator.ready.wait()
-            worker = spawn_worker(
-                coordinator.host, coordinator.port, "w0",
-                cache=False, snapshots=False,
-            )
-            # let the first batch (2 of 4 draws) land, then "crash":
-            # cancel the serve task without any graceful finalization
-            await _await_journal_lines(shard_path(fleet, "w0"), 2)
-            serve.cancel()
-            try:
-                await serve
-            except asyncio.CancelledError:
-                pass
-            worker.terminate()
-            worker.wait()
-
-        asyncio.run(crash_mid_campaign())
-        assert not (fleet / "journal.jsonl").exists()  # died pre-merge
+        _crash_mid_campaign(fleet)
 
         report = fleet_run(
             fleet, workers=1, resume=True, cache=False, snapshots=False,
@@ -221,3 +231,72 @@ class TestCoordinatorRestart:
         assert (fleet / "report.json").read_bytes() == (
             tmp_path / "pool" / "report.json"
         ).read_bytes()
+        # leases open at the crash were closed as orphans on restart, so
+        # every lease ended and every journaled draw went to a worker
+        events = _ledger_events(fleet)
+        granted = {e["lease"] for e in events if e["event"] == "lease"}
+        ended = {
+            e["lease"] for e in events
+            if e["event"] in ("complete", "revoke")
+        }
+        assert granted == ended
+        view = CampaignView(fleet)
+        view.refresh()
+        workers = view.fleet_status()["workers"]
+        assert sum(w["draws"] for w in workers.values()) == 4
+
+    def test_restart_closes_orphaned_leases(self, tmp_path):
+        """Each lease open in the ledger is revoked as ``orphaned`` with
+        the count of its indices in the journal; a stolen index counts
+        for the thief only."""
+        _single_pool(tmp_path / "pool")
+        fleet = tmp_path / "fleet"
+        write_manifest(fleet, _spec())
+        with open(tmp_path / "pool" / "journal.jsonl") as fh:
+            runs = [json.loads(line) for line in fh]
+        journal = Journal(fleet)
+        for event in runs:
+            if event["event"] == "run" and event["index"] in (0, 2, 3):
+                journal.append(event)
+        journal.close()
+        point = _spec().points()[0].id
+        ledger = LeaseLedger(fleet)
+        ledger.granted(1, point, [0, 1], "a")
+        ledger.granted(2, point, [2, 3], "b")
+        ledger.granted(3, point, [3], "c")
+        ledger.stolen(3, 2, point, [3], "c", "b")
+        ledger.close()
+
+        coordinator = FleetCoordinator(
+            fleet, resume=True, cache=False, snapshots=False,
+        )
+        coordinator._prepare()
+        coordinator._ledger.close()
+        orphans = [
+            (e["lease"], e["draws"]) for e in _ledger_events(fleet)
+            if e.get("reason") == "orphaned"
+        ]
+        assert orphans == [(1, 1), (2, 1), (3, 1)]
+        assert coordinator._next_lease == 4
+        view = CampaignView(fleet)
+        view.refresh()
+        workers = view.fleet_status()["workers"]
+        assert {name: w["draws"] for name, w in workers.items()} == {
+            "a": 1, "b": 1, "c": 1,
+        }
+
+    def test_campaign_resume_finishes_a_killed_fleet(self, tmp_path):
+        """A fleet directory is a campaign directory: the single-pool
+        executor picks up the dead coordinator's journal."""
+        _single_pool(tmp_path / "pool", batch_size=2)
+        fleet = tmp_path / "fleet"
+        _crash_mid_campaign(fleet)
+
+        report = run_campaign(
+            str(fleet), resume=True, cache=False, snapshots=False,
+        )
+        assert report["complete"]
+        for name in ("journal.jsonl", "report.json"):
+            assert (fleet / name).read_bytes() == (
+                tmp_path / "pool" / name
+            ).read_bytes()

@@ -7,7 +7,6 @@ import pytest
 from repro.campaign.executor import run_campaign
 from repro.campaign.plan import CampaignSpec
 from repro.fleet import FleetError, fleet_run
-from repro.fleet.merge import shard_dir
 
 
 def _spec(**overrides):
@@ -61,14 +60,19 @@ class TestFleetRun:
             tmp_path, spec=_spec(), workers=2, cache=False,
             snapshots=False, linger=0.2,
         )
-        shards = sorted(
-            p.name for p in (tmp_path / "shards").glob("worker*.jsonl")
-        )
-        assert shards == ["worker0.jsonl", "worker1.jsonl"]
-        # with 2 points and one lease per point, both workers got work
-        for shard in shards:
-            lines = (tmp_path / "shards" / shard).read_text().splitlines()
-            assert len(lines) >= 1
+        from repro.dashboard import CampaignView
+
+        view = CampaignView(tmp_path)
+        view.refresh()
+        draws = {
+            name: info["draws"]
+            for name, info in view.fleet_status()["workers"].items()
+        }
+        # with 2 points and one lease per point, both workers got work,
+        # and the ledger credits every journaled draw exactly once
+        assert sorted(draws) == ["worker0", "worker1"]
+        assert all(n >= 1 for n in draws.values())
+        assert sum(draws.values()) == view.status()["runs_total"]
 
     def test_rerun_of_complete_campaign_is_idempotent(self, tmp_path):
         fleet_run(
@@ -106,20 +110,86 @@ class TestFleetRun:
         with pytest.raises(ValueError, match="workers"):
             fleet_run(tmp_path, spec=_spec(), workers=0)
 
-    def test_shard_layout(self, tmp_path):
+    def test_directory_layout(self, tmp_path):
         fleet_run(
             tmp_path, spec=_spec(), workers=1, cache=False,
             snapshots=False, linger=0.2,
         )
-        assert (tmp_path / "leases.jsonl").exists()
-        assert (tmp_path / "coordinator.json").exists()
-        shards = shard_dir(tmp_path)
+        # a fleet directory is a plain campaign directory plus the
+        # lease ledger and the endpoint file
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "coordinator.json", "journal.jsonl", "leases.jsonl",
+            "manifest.json", "report.json", "report.md",
+        ]
         assert (
             json.loads(open(tmp_path / "coordinator.json").read())["pid"]
         )
-        coordinator_lines = open(
-            f"{shards}/_coordinator.jsonl"
-        ).read().splitlines()
+        events = [
+            json.loads(line)
+            for line in open(tmp_path / "journal.jsonl")
+        ]
         # one completion per point + the done marker
-        assert len(coordinator_lines) == 3
-        assert json.loads(coordinator_lines[-1]) == {"event": "done"}
+        assert [e["event"] for e in events if e["event"] != "run"] == [
+            "point", "point", "done",
+        ]
+
+
+_POOLS = pytest.mark.parametrize("pool", [
+    dict(workers=2),
+    dict(workers=1, min_workers=1, max_workers=2),
+], ids=["fixed", "elastic"])
+
+
+def _fleet_error_within(directory, timeout=60.0, **pool):
+    """The FleetError ``fleet_run`` raises, asserting it came in time."""
+    import threading
+
+    outcome = {}
+
+    def run():
+        try:
+            fleet_run(directory, cache=False, snapshots=False, linger=0.2,
+                      **pool)
+        except Exception as exc:  # noqa: BLE001 — inspected below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "fleet_run hung on failing workers"
+    error = outcome.get("error")
+    assert isinstance(error, FleetError)
+    return error
+
+
+class TestRejectedWorkers:
+    """A worker that is rejected or keeps crashing fails the run instead
+    of hanging or being respawned forever."""
+
+    @_POOLS
+    def test_stale_manifest_version_fails_fast(self, tmp_path, pool):
+        from repro.campaign.journal import write_manifest
+
+        write_manifest(tmp_path, _spec(), extra={"model_version": "stale"})
+        error = _fleet_error_within(tmp_path, **pool)
+        assert "exited with code 2" in str(error)
+        assert "worker" in str(error)
+
+    @_POOLS
+    def test_crashing_worker_fails_fast(self, tmp_path, pool, monkeypatch):
+        import sys
+
+        from repro.fleet import service
+
+        monkeypatch.setattr(
+            service, "worker_command",
+            lambda *args, **kwargs: [sys.executable, "-c", "exit(1)"],
+        )
+        error = _fleet_error_within(tmp_path, spec=_spec(), **pool)
+        assert "exited with code 1" in str(error)
+        assert "no draw journaled" in str(error)
+        with open(tmp_path / "leases.jsonl") as fh:
+            spawns = [
+                line for line in fh if '"action": "spawn"' in line
+            ]
+        assert len(spawns) <= service.CRASH_LIMIT + pool["workers"]

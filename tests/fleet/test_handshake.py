@@ -13,7 +13,6 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.plan import CampaignSpec
 from repro.fleet import FleetWorker, fleet_run
 from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.merge import shard_dir
 from repro.fleet.service import reap_workers, spawn_worker
 
 
@@ -34,14 +33,13 @@ def _single_pool(directory, **overrides):
     )
 
 
-def _no_worker_shards(directory):
-    """True when no worker ever got a journal write (shards are lazy)."""
-    shards = shard_dir(directory)
-    if not os.path.isdir(shards):
+def _no_worker_draws(directory):
+    """True when no worker ever got a draw journaled."""
+    try:
+        with open(os.path.join(directory, "journal.jsonl")) as fh:
+            return '"event": "run"' not in fh.read()
+    except FileNotFoundError:
         return True
-    return all(
-        name.startswith("_") for name in os.listdir(shards)
-    )
 
 
 async def _serve(directory, **kwargs):
@@ -121,10 +119,8 @@ class TestSecretMatrix:
         assert audit["auth_failures"] == 1
         assert report["complete"]
         ledger = (tmp_path / "leases.jsonl").read_text()
-        assert '"intruder"' not in ledger  # never leased a single draw
-        assert not os.path.exists(
-            os.path.join(shard_dir(tmp_path), "intruder.jsonl")
-        )
+        # never leased a single draw, so it journaled none either
+        assert '"intruder"' not in ledger
 
     def test_worker_without_secret_rejected(self, tmp_path):
         async def go():
@@ -140,7 +136,7 @@ class TestSecretMatrix:
         # it could not answer the challenge; the timeout/garbage path
         # still lands in the auth-failure audit trail
         assert audit["auth_failures"] == 1
-        assert _no_worker_shards(tmp_path)
+        assert _no_worker_draws(tmp_path)
 
     def test_forged_auth_reply_rejected_with_structured_error(
         self, tmp_path
@@ -174,7 +170,7 @@ class TestSecretMatrix:
         assert error["code"] == "auth-failed"
         assert audit["auth_failures"] == 1
         assert audit["rejected_hellos"] == 1
-        assert _no_worker_shards(tmp_path)
+        assert _no_worker_draws(tmp_path)
         # the rejection never granted a lease, but it IS persisted to
         # the ledger's audit trail so an offline `fleet status` can
         # still report the hostile peer after the coordinator dies
@@ -197,7 +193,7 @@ class TestSecretMatrix:
         # an impostor coordinator that sends no challenge must not be
         # able to farm work out of a secret-holding worker
         assert asyncio.run(go()) == 2
-        assert _no_worker_shards(tmp_path)
+        assert _no_worker_draws(tmp_path)
 
 
 class TestTlsMatrix:
@@ -229,7 +225,7 @@ class TestTlsMatrix:
         # the TLS server never answers a plaintext hello; the worker
         # burns its reconnect budget and gives up — exit 1, no journal
         assert asyncio.run(go()) == 1
-        assert _no_worker_shards(tmp_path)
+        assert _no_worker_draws(tmp_path)
 
     def test_tls_worker_against_plain_coordinator(self, tmp_path,
                                                   tls_identity):
@@ -249,7 +245,7 @@ class TestTlsMatrix:
         # the ClientHello bytes are not a protocol frame; the plain
         # coordinator drops that connection and audits it, nothing more
         assert audit["protocol_errors"] >= 1
-        assert _no_worker_shards(tmp_path)
+        assert _no_worker_draws(tmp_path)
 
     def test_version_skew_rejected_over_tls(self, tmp_path, tls_identity,
                                             monkeypatch):
@@ -277,7 +273,7 @@ class TestTlsMatrix:
         # skew is counted on its own, distinct from hostile rejections
         assert audit["rejected_versions"] == 1
         assert audit["auth_failures"] == 0  # the secret was right
-        assert _no_worker_shards(tmp_path)
+        assert _no_worker_draws(tmp_path)
         # and the counters survive the coordinator via the ledger
         from repro.fleet.ledger import LeaseLedger
 

@@ -7,7 +7,6 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.plan import CampaignSpec
 from repro.fleet import fleet_run
 from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.merge import shard_path
 from repro.fleet.service import reap_workers, spawn_worker
 
 _METRICS = {"perf_overhead": 0.1, "ed_overhead": 0.2, "ipc": 1.0,
@@ -108,14 +107,13 @@ class TestStealUnit:
 
         coordinator, first, second = asyncio.run(go())
         # the draw credited the lease that holds it (the thief's), and
-        # the duplicate was dropped before touching any shard journal
-        assert coordinator._leases[second["lease"]]["indices"] == {3}
-        assert coordinator._leases[first["lease"]]["indices"] == {0, 1}
-        straggler_shard = open(shard_path(tmp_path, "straggler")).read()
-        assert straggler_shard.count('"index": 2') == 1
-        import os
-
-        assert not os.path.exists(shard_path(tmp_path, "idle"))
+        # the duplicate was dropped before touching the journal
+        thief = coordinator._leases[second["lease"]]
+        victim = coordinator._leases[first["lease"]]
+        assert thief["indices"] == {3} and thief["draws"] == 1
+        assert victim["indices"] == {0, 1} and victim["draws"] == 0
+        journal = open(tmp_path / "journal.jsonl").read()
+        assert journal.count('"index": 2') == 1
 
 
 class TestStealEndToEnd:
